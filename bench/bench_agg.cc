@@ -113,7 +113,6 @@ void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
                   bool parallel, int workers) {
   ExecOptions o;
   o.use_morsels = parallel;
-  o.use_parallel_agg = parallel;
   o.morsel_workers = workers;
   Evaluator eval(o);
   std::shared_ptr<MorselScheduler> sched;

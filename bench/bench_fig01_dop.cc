@@ -19,7 +19,8 @@ int main() {
              " seed=" + std::to_string(cfg.seed) + " sim=2x16c/32t");
   auto cat = Tpch::Generate(cfg);
   EngineConfig ecfg = PaperEngine();
-  ecfg.exec_threads = 0;  // hardware truth: one worker per hardware thread
+  ecfg.use_morsels = true;  // hardware truth: a fleet of one worker per
+                           // hardware thread runs the clone levels
   Engine engine(ecfg);
 
   // Background: a mixed bag of heuristic plans invoked by 32 clients.
@@ -39,8 +40,8 @@ int main() {
   APQ_CHECK(bg.ok());
 
   // Simulated times drive the paper shape; the "wall" column is hardware
-  // truth: the evaluator's real wall-clock on this host, with plan nodes
-  // executed on one worker per hardware thread (exec_threads = 0 above).
+  // truth: the evaluator's real wall-clock on this host, with clone levels
+  // executed on one fleet worker per hardware thread (use_morsels above).
   TablePrinter table({"query", "dop 8 (ms)", "dop 16 (ms)", "dop 32 (ms)",
                       "best dop", "wall@32 (ms)"});
   for (const char* q : {"Q9", "Q8", "Q19"}) {

@@ -100,7 +100,6 @@ void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
                   bool parallel, int workers) {
   ExecOptions o;
   o.use_morsels = parallel;
-  o.use_parallel_sort = parallel;
   o.morsel_workers = workers;
   Evaluator eval(o);
   std::shared_ptr<MorselScheduler> sched;

@@ -171,40 +171,38 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     // an operator at tiny morsels forever. Hints persist across runs while
     // the node survives; mutated clones have fresh node ids, so hints never
     // outlive the nodes they profiled.
-    if (evaluator_->options().adaptive_morsel_rows) {
-      std::unordered_map<int, uint64_t> hints;
-      const uint64_t base = evaluator_->EffectiveMorselRows();
-      for (const auto& op : profile.ops) {
-        if (op.num_morsels < 2) continue;
-        auto prev = prev_hints.find(op.node_id);
-        const uint64_t cur = prev == prev_hints.end() ? base : prev->second;
-        const double skew = std::max(op.morsel_skew, op.morsel_tuple_skew);
-        if (skew >= params_.mutator.skew_threshold) {
-          const double factor =
-              std::min(std::max(skew, kMinShrinkFactor), kMaxShrinkFactor);
-          const uint64_t shrunk = std::max(
-              static_cast<uint64_t>(static_cast<double>(cur) / factor),
-              kMinAdaptiveMorselRows);
-          if (shrunk < base) hints[op.node_id] = shrunk;
-        } else if (cur < base) {
-          // Converged below threshold: grow back toward the base size.
-          const uint64_t grown = std::min(cur * 2, base);
-          if (grown < base) hints[op.node_id] = grown;
-        }
+    std::unordered_map<int, uint64_t> hints;
+    const uint64_t base = evaluator_->EffectiveMorselRows();
+    for (const auto& op : profile.ops) {
+      if (op.num_morsels < 2) continue;
+      auto prev = prev_hints.find(op.node_id);
+      const uint64_t cur = prev == prev_hints.end() ? base : prev->second;
+      const double skew = std::max(op.morsel_skew, op.morsel_tuple_skew);
+      if (skew >= params_.mutator.skew_threshold) {
+        const double factor =
+            std::min(std::max(skew, kMinShrinkFactor), kMaxShrinkFactor);
+        const uint64_t shrunk = std::max(
+            static_cast<uint64_t>(static_cast<double>(cur) / factor),
+            kMinAdaptiveMorselRows);
+        if (shrunk < base) hints[op.node_id] = shrunk;
+      } else if (cur < base) {
+        // Converged below threshold: grow back toward the base size.
+        const uint64_t grown = std::min(cur * 2, base);
+        if (grown < base) hints[op.node_id] = grown;
       }
-      out.runs.back().skew_hint_ops = static_cast<int>(hints.size());
-      out.lineage.back().skew_hint_ops = static_cast<int>(hints.size());
-      if (!hints.empty()) {
-        // One event per shrunken operator so the trace shows WHICH nodes the
-        // runtime skew response squeezed and to what morsel size.
-        for (const auto& [node, rows] : hints) {
-          obs::EmitInstant(obs::SpanKind::kMutation, "skew-morsel-shrink",
-                           node, static_cast<int64_t>(rows));
-        }
-      }
-      prev_hints = hints;
-      evaluator_->SetAdaptiveMorselRows(std::move(hints));
     }
+    out.runs.back().skew_hint_ops = static_cast<int>(hints.size());
+    out.lineage.back().skew_hint_ops = static_cast<int>(hints.size());
+    if (!hints.empty()) {
+      // One event per shrunken operator so the trace shows WHICH nodes the
+      // runtime skew response squeezed and to what morsel size.
+      for (const auto& [node, rows] : hints) {
+        obs::EmitInstant(obs::SpanKind::kMutation, "skew-morsel-shrink",
+                         node, static_cast<int64_t>(rows));
+      }
+    }
+    prev_hints = hints;
+    evaluator_->SetAdaptiveMorselRows(std::move(hints));
 
     if (!cont) break;
 

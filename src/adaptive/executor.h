@@ -37,7 +37,7 @@ struct AdaptiveRun {
   double max_morsel_tuple_skew = 0;
   /// Operators whose skew in THIS run crossed the mutator's skew threshold
   /// and therefore got a shrunken morsel size for the NEXT run (the runtime
-  /// skew response; 0 when ExecOptions::adaptive_morsel_rows is off).
+  /// skew response).
   int skew_hint_ops = 0;
 };
 

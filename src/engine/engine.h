@@ -26,27 +26,13 @@ struct EngineConfig {
   MutatorConfig mutator;
   int hp_dop = 32;                 // heuristic parallelizer default DOP
   bool verify_results = false;     // cross-check every adaptive run
-  /// Real execution backend: worker threads for plan-node execution
-  /// (1 = serial, 0 = one per hardware thread) and vectorized kernels.
+  /// Real execution backend (see ExecOptions): vectorized kernels, and the
+  /// thread fleet that runs operator morsels and exchange clone levels.
   /// Simulated timings are unaffected; wall_ns fields report hardware truth.
-  int exec_threads = 1;
   bool use_kernels = true;
-  /// Morsel-driven intra-operator execution (see ExecOptions::use_morsels).
   bool use_morsels = false;
   uint64_t morsel_rows = kDefaultMorselRows;
   int morsel_workers = 0;  // 0 = one per hardware thread
-  /// Morsel-parallel aggregation + hash-join probe (exec/agg/; see
-  /// ExecOptions::use_parallel_agg). Only active when morsels are on.
-  bool use_parallel_agg = true;
-  /// Morsel-parallel sort: per-morsel stable runs + merge-path loser-tree
-  /// merge (exec/sort/; see ExecOptions::use_parallel_sort). Only active
-  /// when morsels are on.
-  bool use_parallel_sort = true;
-  /// Runtime skew response (see ExecOptions::adaptive_morsel_rows): the
-  /// adaptive loop shrinks the morsel size of operators whose previous run
-  /// crossed MutatorConfig::skew_threshold, so stealing rebalances within
-  /// the operator between mutations.
-  bool adaptive_morsel_rows = true;
   /// SIMD dispatch tier for the vectorized kernels (see
   /// ExecOptions::simd_level): kAuto = best level the CPU supports; lower
   /// levels pin the tier for differential testing. APQ_SIMD overrides.
@@ -63,7 +49,7 @@ struct EngineConfig {
   /// enables it too, without Engine plumbing; a failing bind warns once and
   /// introspection stays off — it never fails a query.
   int http_port = 0;
-  /// Morsel scheduler to share with other engines/queries. When null and
+  /// Thread fleet to share with other engines/queries. When null and
   /// use_morsels is set, the engine creates its own; pass
   /// MorselScheduler::Shared() (or another engine's morsel_scheduler()) so
   /// concurrent queries multiplex one worker fleet instead of one pool each.
@@ -115,9 +101,10 @@ class Engine {
   const EngineConfig& config() const { return config_; }
   Evaluator* evaluator() { return &evaluator_; }
 
-  /// The morsel scheduler this engine's queries execute on (null unless
-  /// use_morsels or an injected scheduler). Pass it to other engines'
-  /// EngineConfig::morsel_scheduler to share one worker fleet.
+  /// The thread fleet this engine's queries execute on (null unless
+  /// use_morsels or an injected scheduler): operator morsels and the clone
+  /// levels of heuristic or adapted plans run on it. Pass it to other
+  /// engines' EngineConfig::morsel_scheduler to share one worker fleet.
   const std::shared_ptr<MorselScheduler>& morsel_scheduler() const {
     return evaluator_.morsel_scheduler();
   }
@@ -173,13 +160,9 @@ class Engine {
   static ExecOptions MakeExecOptions(const EngineConfig& c) {
     ExecOptions o;
     o.use_kernels = c.use_kernels;
-    o.num_threads = c.exec_threads;
-    o.use_morsels = c.use_morsels || c.morsel_scheduler != nullptr;
+    o.use_morsels = c.use_morsels;
     o.morsel_rows = c.morsel_rows;
     o.morsel_workers = c.morsel_workers;
-    o.use_parallel_agg = c.use_parallel_agg;
-    o.use_parallel_sort = c.use_parallel_sort;
-    o.adaptive_morsel_rows = c.adaptive_morsel_rows;
     o.simd_level = c.simd_level;
     o.trace = c.trace;
     return o;

@@ -2,18 +2,6 @@
 
 namespace apq {
 
-namespace {
-
-double AggInit(AggFn fn) {
-  switch (fn) {
-    case AggFn::kMin: return 1e300;
-    case AggFn::kMax: return -1e300;
-    default: return 0.0;
-  }
-}
-
-}  // namespace
-
 AggTable::AggTable(uint64_t expected_groups) {
   // 3/4 max load: buckets >= groups * 4/3, floor of 64 to keep the growth
   // path off the tiny-table fast case.
@@ -71,28 +59,6 @@ uint32_t AggTable::Find(int64_t key) const {
     if (keys_[slot] == key) return slot;
     b = (b + 1) & mask_;
   }
-}
-
-uint32_t AggTable::Update(AggFn fn, int64_t key, double v, uint64_t pos) {
-  const uint32_t slot = FindOrInsert(key, pos);
-  if (vals_.size() < keys_.size()) {
-    vals_.resize(keys_.size(), AggInit(fn));
-    counts_.resize(keys_.size(), 0);
-  }
-  switch (fn) {
-    case AggFn::kSum:
-    case AggFn::kAvg: vals_[slot] += v; break;
-    case AggFn::kCount: vals_[slot] += 1.0; break;
-    case AggFn::kMin:
-      if (v < vals_[slot]) vals_[slot] = v;
-      break;
-    case AggFn::kMax:
-      if (v > vals_[slot]) vals_[slot] = v;
-      break;
-    case AggFn::kNone: break;
-  }
-  counts_[slot] += 1;
-  return slot;
 }
 
 }  // namespace apq

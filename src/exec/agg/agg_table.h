@@ -3,9 +3,9 @@
 // The scalar interpreter builds groups through a node-based
 // std::unordered_map insert loop; this table is the cache-friendly
 // replacement the parallel aggregation pipeline (parallel_agg.h) builds its
-// thread-local partials in: one linear-probed bucket array of 4-byte slot
-// references over dense columnar group storage (keys, first-occurrence
-// positions, and SUM/AVG/COUNT/MIN/MAX aggregate state).
+// thread-local group-by tables in: one linear-probed bucket array of 4-byte
+// slot references over dense columnar group storage (keys and
+// first-occurrence positions).
 //
 // Keys are int64 — ints, date days, and dictionary codes all share that
 // storage (storage/column.h), so one specialization covers every group-by
@@ -18,14 +18,13 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/op_kind.h"
 #include "util/hash_clock.h"
 
 namespace apq {
 
-/// \brief Open-addressing hash table from int64 key to a dense group slot,
-/// with optional per-slot aggregate state. Not thread-safe: the parallel
-/// pipeline gives each worker (or morsel) its own table and merges afterward.
+/// \brief Open-addressing hash table from int64 key to a dense group slot.
+/// Not thread-safe: the parallel pipeline gives each worker its own table
+/// and merges afterward.
 class AggTable {
  public:
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -44,23 +43,13 @@ class AggTable {
   /// Slot of `key`, or kNoSlot when absent. Never inserts.
   uint32_t Find(int64_t key) const;
 
-  /// Fused FindOrInsert + aggregate fold, one input row at a time: folds `v`
-  /// into the slot's value per `fn` (kSum/kAvg accumulate, kCount adds 1
-  /// ignoring v, kMin/kMax fold) and increments the slot's count — exactly
-  /// the scalar interpreter's per-row update. New slots start from the
-  /// scalar init (kMin: 1e300, kMax: -1e300, else 0). A table must not mix
-  /// Update calls of different fns.
-  uint32_t Update(AggFn fn, int64_t key, double v, uint64_t pos);
-
   uint64_t num_groups() const { return keys_.size(); }
   int64_t key(uint32_t slot) const { return keys_[slot]; }
   uint64_t first_pos(uint32_t slot) const { return first_pos_[slot]; }
-  double agg_val(uint32_t slot) const { return vals_[slot]; }
-  int64_t agg_count(uint32_t slot) const { return counts_[slot]; }
 
   uint64_t byte_size() const {
     return buckets_.size() * sizeof(uint32_t) + keys_.size() * 8 +
-           first_pos_.size() * 8 + vals_.size() * 8 + counts_.size() * 8;
+           first_pos_.size() * 8;
   }
 
   /// The 64-bit finalizer used for bucket addressing (util/hash_clock.h),
@@ -72,12 +61,9 @@ class AggTable {
 
   std::vector<uint32_t> buckets_;  // 1 + slot; 0 = empty
   uint64_t mask_ = 0;
-  // Dense group storage, indexed by slot. vals_/counts_ stay empty until the
-  // first Update (FindOrInsert-only tables carry no aggregate state).
+  // Dense group storage, indexed by slot.
   std::vector<int64_t> keys_;
   std::vector<uint64_t> first_pos_;
-  std::vector<double> vals_;
-  std::vector<int64_t> counts_;
 };
 
 }  // namespace apq

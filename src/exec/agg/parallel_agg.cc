@@ -119,247 +119,4 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
   return nm;
 }
 
-namespace {
-
-// ---- dense-range flat ingest ------------------------------------------------
-// For small group counts the per-morsel hash table is overkill: a flat array
-// indexed by gid ingests with one load/store per row (no hashing, no probe
-// chain), and equal-gid runs fold through the SIMD ingest reductions. Only
-// folds whose result provably equals the per-row fold are vectorized, so the
-// output is bit-identical to the hash path (and the scalar loop) at every
-// dispatch tier.
-
-/// Minimum equal-gid run length worth a SIMD reduction call.
-constexpr uint64_t kSimdRunRows = 16;
-
-/// Flat per-morsel partial: vals/counts indexed by gid. Absent groups keep
-/// the fold identity (kMin: 1e300, kMax: -1e300, else 0; count 0), so the
-/// merge can fold every slot unconditionally as an exact no-op.
-struct FlatPartial {
-  std::vector<double> vals;
-  std::vector<int64_t> counts;
-};
-
-void IngestFlat(const int64_t* gids, const double* vf, const int64_t* vi,
-                AggFn fn, uint64_t b, uint64_t e, const simd::SimdOps* simd,
-                FlatPartial* out) {
-  double* vals = out->vals.data();
-  int64_t* counts = out->counts.data();
-  // Morsel-level SUM exactness: when rows * max|v| <= 2^53 every partial sum
-  // of every group's fold (any association) stays on integers doubles
-  // represent exactly, so adding an equal-gid run as one integer sum is
-  // bit-identical to the row loop. Checked once per morsel.
-  bool exact_sum = false;
-  if (vi != nullptr && (fn == AggFn::kSum || fn == AggFn::kAvg) &&
-      simd != nullptr && simd->sum_i64_exact != nullptr &&
-      simd->minmax_i64 != nullptr && e > b) {
-    int64_t mn, mx;
-    simd->minmax_i64(vi + b, e - b, &mn, &mx);
-    const uint64_t am = mn == INT64_MIN
-                            ? (1ull << 63)
-                            : static_cast<uint64_t>(mn < 0 ? -mn : mn);
-    const uint64_t bm = static_cast<uint64_t>(mx < 0 ? -mx : mx);
-    const uint64_t maxabs = am > bm ? am : bm;
-    exact_sum = maxabs <= (1ull << 53) / (e - b);
-  }
-  uint64_t pos = b;
-  while (pos < e) {
-    const int64_t g = gids[pos];
-    uint64_t r = pos + 1;
-    while (r < e && gids[r] == g) ++r;
-    const uint64_t len = r - pos;
-    bool folded = false;
-    if (len >= kSimdRunRows) {
-      switch (fn) {
-        case AggFn::kCount:
-          // The repeated +1.0 fold stays exact while the count is <= 2^53;
-          // vals[g] is bounded by the morsel row count, far below that.
-          vals[g] += static_cast<double>(len);
-          folded = true;
-          break;
-        case AggFn::kMin:
-        case AggFn::kMax:
-          // Lattice folds; the int64->double cast is monotonic, so min/max
-          // commute with it (see exec/simd/simd_ops.h).
-          if (vi != nullptr && simd != nullptr &&
-              simd->minmax_i64 != nullptr) {
-            int64_t mn, mx;
-            simd->minmax_i64(vi + pos, len, &mn, &mx);
-            const double x = static_cast<double>(fn == AggFn::kMin ? mn : mx);
-            vals[g] = fn == AggFn::kMin ? std::min(vals[g], x)
-                                        : std::max(vals[g], x);
-            folded = true;
-          } else if (vf != nullptr && simd != nullptr &&
-                     simd->minmax_f64 != nullptr) {
-            double mn, mx;
-            simd->minmax_f64(vf + pos, len, &mn, &mx);
-            vals[g] = fn == AggFn::kMin ? std::min(vals[g], mn)
-                                        : std::max(vals[g], mx);
-            folded = true;
-          }
-          break;
-        case AggFn::kSum:
-        case AggFn::kAvg:
-          if (exact_sum) {
-            double s;
-            if (simd->sum_i64_exact(vi + pos, len, &s)) {
-              vals[g] += s;
-              folded = true;
-            }
-          }
-          break;
-        case AggFn::kNone:
-          break;
-      }
-    }
-    if (folded) {
-      counts[g] += static_cast<int64_t>(len);
-    } else {
-      for (uint64_t p = pos; p < r; ++p) {
-        const double v = vf != nullptr ? vf[p]
-                         : vi != nullptr ? static_cast<double>(vi[p])
-                                         : 1.0;
-        switch (fn) {
-          case AggFn::kSum:
-          case AggFn::kAvg: vals[g] += v; break;
-          case AggFn::kCount: vals[g] += 1.0; break;
-          case AggFn::kMin: vals[g] = std::min(vals[g], v); break;
-          case AggFn::kMax: vals[g] = std::max(vals[g], v); break;
-          case AggFn::kNone: break;
-        }
-        counts[g] += 1;
-      }
-    }
-    pos = r;
-  }
-}
-
-/// Memory budget for the flat path: per-morsel arrays are nm * ngroups
-/// cells of 16 bytes. Past these bounds the hash path is the better deal.
-constexpr uint64_t kFlatMaxGroups = 4096;
-constexpr uint64_t kFlatMaxCells = 1ull << 22;
-
-}  // namespace
-
-size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
-                          const double* vals_f64, const int64_t* vals_i64,
-                          AggFn fn, uint64_t ngroups,
-                          const ParallelAggOptions& opts, double* out_vals,
-                          int64_t* out_counts) {
-  MorselSource src(0, n, opts.morsel_rows);
-  const size_t nm = src.num_morsels();
-  if (nm < 2 || opts.scheduler == nullptr || ngroups == 0) return 0;
-  MorselScheduler& sched = *opts.scheduler;
-
-  if (ngroups <= kFlatMaxGroups &&
-      static_cast<uint64_t>(nm) * ngroups <= kFlatMaxCells) {
-    // Dense-range flat path. Same structure as the hash path below — phase 1
-    // per-morsel partials, phase 2 contiguous-gid-range merge folding
-    // morsels in index order — with arrays instead of hash tables.
-    const double init = fn == AggFn::kMin ? 1e300
-                        : fn == AggFn::kMax ? -1e300
-                                            : 0.0;
-    std::vector<FlatPartial> partials(nm);
-    sched.ParallelFor(nm, [&](size_t i, int) {
-      partials[i].vals.assign(ngroups, init);
-      partials[i].counts.assign(ngroups, 0);
-      const Morsel ms = src.morsel(i);
-      IngestFlat(gids, vals_f64, vals_i64, fn, ms.begin, ms.end, opts.simd,
-                 &partials[i]);
-    });
-
-    // nm * ngroups cells of 16 bytes, live until the merge below finishes.
-    obs::ScopedMemCharge partials_charge(
-        static_cast<uint64_t>(nm) * ngroups *
-        (sizeof(double) + sizeof(int64_t)));
-
-    size_t nparts = static_cast<size_t>(sched.num_workers()) + 1;
-    if (nparts > ngroups) nparts = ngroups;
-    sched.ParallelFor(nparts, [&](size_t p, int) {
-      // Partition p owns gids with gid * nparts / ngroups == p — the range
-      // [ceil(p*ngroups/nparts), ceil((p+1)*ngroups/nparts)). Groups absent
-      // from a morsel are skipped (count 0), so each output slot sees
-      // exactly the folds the hash merge performs, in morsel index order.
-      const uint64_t lo = (p * ngroups + nparts - 1) / nparts;
-      const uint64_t hi = ((p + 1) * ngroups + nparts - 1) / nparts;
-      for (uint64_t g = lo; g < hi; ++g) {
-        double v = out_vals[g];
-        int64_t c = out_counts[g];
-        for (size_t i = 0; i < nm; ++i) {
-          if (partials[i].counts[g] == 0) continue;
-          const double pv = partials[i].vals[g];
-          switch (fn) {
-            case AggFn::kSum:
-            case AggFn::kAvg:
-            case AggFn::kCount: v += pv; break;
-            case AggFn::kMin: v = std::min(v, pv); break;
-            case AggFn::kMax: v = std::max(v, pv); break;
-            case AggFn::kNone: break;
-          }
-          c += partials[i].counts[g];
-        }
-        out_vals[g] = v;
-        out_counts[g] = c;
-      }
-    });
-    return nm;
-  }
-
-  // Phase 1 — per-morsel partials. Tables are per *morsel*, not per worker:
-  // the merge folds them in morsel index order, so the result is independent
-  // of which worker ran what (per-worker partials would reassociate
-  // differently every run). Each morsel buckets its groups by output
-  // partition as it finishes, so the merge scans every group exactly once.
-  size_t nparts = static_cast<size_t>(sched.num_workers()) + 1;
-  if (nparts > ngroups) nparts = ngroups;
-  std::vector<AggTable> partials(nm);
-  std::vector<std::vector<std::vector<uint32_t>>> pbuckets(nm);
-  sched.ParallelFor(nm, [&](size_t i, int) {
-    AggTable& tab = partials[i];
-    const Morsel ms = src.morsel(i);
-    for (uint64_t pos = ms.begin; pos < ms.end; ++pos) {
-      const double v = vals_f64 != nullptr ? vals_f64[pos]
-                       : vals_i64 != nullptr
-                           ? static_cast<double>(vals_i64[pos])
-                           : 1.0;
-      tab.Update(fn, gids[pos], v, pos);
-    }
-    pbuckets[i].resize(nparts);
-    for (uint32_t s = 0; s < tab.num_groups(); ++s) {
-      const uint64_t gid = static_cast<uint64_t>(tab.key(s));
-      pbuckets[i][gid * nparts / ngroups].push_back(s);
-    }
-  });
-
-  // Per-morsel hash partials, live until the merge below folds them.
-  obs::ScopedMemCharge partials_charge;
-  for (const AggTable& tab : partials) partials_charge.Add(tab.byte_size());
-
-  // Phase 2 — merge: partition p owns the group ids with
-  // gid * nparts / ngroups == p (a contiguous range), so each output slot is
-  // folded by exactly one worker and the folds race with nothing.
-  sched.ParallelFor(nparts, [&](size_t p, int) {
-    for (size_t i = 0; i < nm; ++i) {
-      const AggTable& tab = partials[i];
-      for (uint32_t s : pbuckets[i][p]) {
-        const int64_t gid = tab.key(s);
-        switch (fn) {
-          case AggFn::kSum:
-          case AggFn::kAvg:
-          case AggFn::kCount: out_vals[gid] += tab.agg_val(s); break;
-          case AggFn::kMin:
-            out_vals[gid] = std::min(out_vals[gid], tab.agg_val(s));
-            break;
-          case AggFn::kMax:
-            out_vals[gid] = std::max(out_vals[gid], tab.agg_val(s));
-            break;
-          case AggFn::kNone: break;
-        }
-        out_counts[gid] += tab.agg_count(s);
-      }
-    }
-  });
-  return nm;
-}
-
 }  // namespace apq

@@ -1,28 +1,15 @@
-// Morsel-parallel aggregation: thread-local pre-aggregation with a
-// partitioned merge.
+// Morsel-parallel group-by ingest on the work-stealing scheduler
+// (sched/morsel_scheduler.h). The evaluator's sequential insert loop stays as
+// the differential oracle; ParallelGroupBy reproduces it bit for bit: each
+// scheduler worker ingests its morsels into a thread-local AggTable (local
+// group ids, per-key minimum input position), the tables are merged by radix
+// partition of the key hash (each partition merged by one worker), and group
+// ids are renumbered by ranking keys on their earliest input position — which
+// reproduces the scalar interpreter's first-occurrence numbering
+// *bit-identically*, regardless of morsel size, worker count, or steal order.
 //
-// Group-by ingest and grouped aggregation were the last heavy operators
-// still running whole-column (select and fetch-join morselized in an earlier
-// step): one sequential hash-insert loop over the full input. This pipeline
-// splits the input into morsels on the work-stealing scheduler
-// (sched/morsel_scheduler.h):
-//
-//  * ParallelGroupBy — each scheduler worker ingests its morsels into a
-//    thread-local AggTable (local group ids, per-key minimum input
-//    position), the tables are merged by radix partition of the key hash
-//    (each partition merged by one worker), and group ids are renumbered by
-//    ranking keys on their earliest input position — which reproduces the
-//    scalar interpreter's first-occurrence numbering *bit-identically*,
-//    regardless of morsel size, worker count, or steal order.
-//
-//  * ParallelGroupedAgg — each *morsel* folds its rows into a private
-//    AggTable keyed by (already-global) group id; partials are merged over
-//    contiguous group-id ranges, one range per worker, folding tables in
-//    morsel index order so the result is deterministic across worker counts
-//    and runs. Counts and MIN/MAX/COUNT values are bit-identical to the
-//    scalar loop; SUM/AVG reassociate across morsel boundaries (partial sums
-//    added in morsel order), which is deterministic but may differ from the
-//    sequential fold in the last bits.
+// Grouped aggregation has no parallel routine: the evaluator folds every
+// group in input order, so SUM/AVG never depend on the morsel count.
 #ifndef APQ_EXEC_AGG_PARALLEL_AGG_H_
 #define APQ_EXEC_AGG_PARALLEL_AGG_H_
 
@@ -31,8 +18,6 @@
 
 #include "exec/agg/agg_table.h"
 #include "exec/morsel_source.h"
-#include "exec/op_kind.h"
-#include "exec/simd/simd_ops.h"
 #include "sched/morsel_scheduler.h"
 
 namespace apq {
@@ -40,12 +25,7 @@ namespace apq {
 /// \brief How the aggregation pipeline splits and schedules its input.
 struct ParallelAggOptions {
   uint64_t morsel_rows = kDefaultMorselRows;
-  MorselScheduler* scheduler = nullptr;  ///< required; callers share fleets
-  /// SIMD dispatch table for the dense-range ingest reductions (null ops or
-  /// null entries fold row-at-a-time). Only folds whose result provably
-  /// equals the per-row fold run vectorized, so outputs stay bit-identical
-  /// across tiers.
-  const simd::SimdOps* simd = nullptr;
+  MorselScheduler* scheduler = nullptr;  ///< null = run sequentially
 };
 
 /// \brief Morsel-parallel group-by over `keys[0..n)`.
@@ -63,23 +43,6 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
                        std::vector<int64_t>* out_gids,
                        std::vector<int64_t>* out_keys,
                        std::vector<MorselMetrics>* morsels);
-
-/// \brief Morsel-parallel grouped aggregation.
-///
-/// `gids[0..n)` are dense group ids in [0, ngroups); row i's value is
-/// vals_f64[i] / vals_i64[i] (whichever is non-null) or 1.0 when both are
-/// null (COUNT). Folds into out_vals/out_counts[0..ngroups), which the
-/// caller must have initialized to the scalar init (kMin: 1e300, kMax:
-/// -1e300, else 0; counts 0). AVG is left as (sum, count) — the caller
-/// divides, as on the sequential path.
-///
-/// Returns the number of morsels run; 0 = caller runs its sequential loop
-/// (nothing has been written).
-size_t ParallelGroupedAgg(const int64_t* gids, uint64_t n,
-                          const double* vals_f64, const int64_t* vals_i64,
-                          AggFn fn, uint64_t ngroups,
-                          const ParallelAggOptions& opts, double* out_vals,
-                          int64_t* out_counts);
 
 }  // namespace apq
 

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cerrno>
-#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <unordered_map>
@@ -165,6 +165,94 @@ const TupleFlow& TupleFlowFor(OpKind k) {
   return (*flows)[static_cast<size_t>(k)];
 }
 
+// What one span kernel produced over a morsel, or over the whole input when
+// it ran inline. Each operator fills the members it produces.
+struct SpanOut {
+  std::vector<oid> rows;   // selected row ids / probe outer ids / gathered head
+  std::vector<oid> rrows;  // probe inner row ids
+  ValueVec values;         // gathered values
+  uint64_t accesses = 0;   // candidate-select random accesses
+  Status status;           // gather validation
+};
+
+// Fills `out` for input span [b, e) and sets mm->tuples_out (and the domain,
+// when known).
+using SpanKernel =
+    std::function<void(uint64_t b, uint64_t e, SpanOut* out, MorselMetrics* mm)>;
+
+// The one morsel path of select, candidate select, fetch-join gather and join
+// probe: runs `kernel` over input positions [begin, end) once inline when the
+// span fits one morsel or there is no fleet (m->morsels stays empty),
+// otherwise once per morsel on the fleet, timing each morsel, sampling its
+// trace span by morsel index (so the trace never depends on which worker ran
+// it) and recording its MorselMetrics in m->morsels. Returns the outputs in
+// input order.
+std::vector<SpanOut> RunSpans(MorselScheduler* fleet, uint64_t morsel_rows,
+                              uint64_t begin, uint64_t end,
+                              const char* span_name, OpMetrics* m,
+                              const SpanKernel& kernel) {
+  const MorselSource src(begin, end, morsel_rows);
+  const size_t nm = fleet != nullptr ? src.num_morsels() : 1;
+  std::vector<SpanOut> outs(nm < 2 ? 1 : nm);
+  if (nm < 2) {
+    MorselMetrics unused;
+    kernel(begin, end, &outs[0], &unused);
+    return outs;
+  }
+  std::vector<MorselMetrics> mm(nm);
+  fleet->ParallelFor(nm, [&](size_t i, int worker) {
+    const Morsel ms = src.morsel(i);
+    const bool tr = obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
+    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
+    const double t0 = NowNs();
+    kernel(ms.begin, ms.end, &outs[i], &mm[i]);
+    mm[i].tuples_in = ms.size();
+    mm[i].wall_ns = NowNs() - t0;
+    mm[i].worker = worker;
+    if (tr) {
+      obs::EmitSpan(obs::SpanKind::kMorsel, span_name, tt0, obs::TraceTicks(),
+                    m->node_id, static_cast<int64_t>(i),
+                    static_cast<int64_t>(mm[i].tuples_out));
+    }
+  });
+  m->morsels = std::move(mm);
+  return outs;
+}
+
+// Sets `dst` to field(out) of every span output, concatenated in input
+// order. A lone output (the inline case) is moved, not copied.
+template <typename T, typename Field>
+void ConcatSpans(std::vector<SpanOut>* outs, Field field,
+                 std::vector<T>* dst) {
+  if (outs->size() == 1) {
+    *dst = std::move(field(outs->front()));
+    return;
+  }
+  size_t total = 0;
+  for (SpanOut& o : *outs) total += field(o).size();
+  dst->clear();
+  dst->reserve(total);
+  for (SpanOut& o : *outs) {
+    dst->insert(dst->end(), field(o).begin(), field(o).end());
+  }
+}
+
+// Records the base-row domain of the ascending id span ids[b, e). A span
+// reaching outside `range` (a sliced clone's share of a wider candidate list)
+// has its tuple counts diluted by clip-only ids, so its domain is reported
+// unknown and the operator's tuple-skew signal is withheld rather than
+// mistaking clipping for skew. Pairs-fed id lists may be unsorted; the
+// skew-aware mutator validates monotonicity before using a domain.
+void SetIdDomain(const oid* ids, uint64_t b, uint64_t e, RowRange range,
+                 MorselMetrics* mm) {
+  if (b == e) return;
+  const uint64_t db = ids[b];
+  const uint64_t de = ids[e - 1] + 1;
+  if (db < range.begin || de > range.end) return;
+  mm->domain_begin = db;
+  mm->domain_end = de;
+}
+
 }  // namespace
 
 #define APQ_INPUT_OF(ctx, id, out) \
@@ -172,17 +260,8 @@ const TupleFlow& TupleFlowFor(OpKind k) {
 
 bool Evaluator::MorselsEnabled() const {
   return options_.use_kernels &&
-         (options_.use_morsels || ForcedMorselRowsFromEnv() != 0);
-}
-
-bool Evaluator::ParallelAggEnabled() const {
-  return MorselsEnabled() &&
-         (options_.use_parallel_agg || ForcedMorselRowsFromEnv() != 0);
-}
-
-bool Evaluator::ParallelSortEnabled() const {
-  return MorselsEnabled() &&
-         (options_.use_parallel_sort || ForcedMorselRowsFromEnv() != 0);
+         (options_.use_morsels || (morsel_sched_ && !morsel_sched_owned_) ||
+          ForcedMorselRowsFromEnv() != 0);
 }
 
 uint64_t Evaluator::EffectiveMorselRows() const {
@@ -193,7 +272,7 @@ uint64_t Evaluator::EffectiveMorselRows() const {
 uint64_t Evaluator::ForcedEnvMorselRows() { return ForcedMorselRowsFromEnv(); }
 
 uint64_t Evaluator::MorselRowsForNode(int node_id) const {
-  if (options_.adaptive_morsel_rows && !adaptive_rows_.empty()) {
+  if (!adaptive_rows_.empty()) {
     auto it = adaptive_rows_.find(node_id);
     if (it != adaptive_rows_.end() && it->second > 0) return it->second;
   }
@@ -208,218 +287,15 @@ const std::shared_ptr<MorselScheduler>& Evaluator::EnsureMorselScheduler() {
   return morsel_sched_;
 }
 
-size_t Evaluator::MorselSelectDense(const Column& col, RowRange range,
-                                    const Predicate& pred,
-                                    const std::vector<uint8_t>* like_match,
-                                    Intermediate* result, OpMetrics* m) {
-  MorselSource src(range, MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return 0;  // one morsel = whole column; skip the detour
-
-  // Each morsel selects into its own fragment; concatenation in morsel order
-  // reproduces the whole-column scan bit-for-bit (SelectDense appends row ids
-  // in row order within its subrange).
-  std::vector<std::vector<oid>> frags(nm);
-  std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    // Sampled by deterministic morsel index, so the trace never depends on
-    // which worker ran the morsel (determinism) and hot loops pay at most
-    // one span per kMorselSampleMask+1 tasks.
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    SelectDense(col, RowRange{ms.begin, ms.end}, pred, like_match, &frags[i],
-                simd_ops_);
-    mm[i] = MorselMetrics{ms.size(), frags[i].size(), NowNs() - t0, worker,
-                          ms.begin, ms.end};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-select", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].size()));
-    }
-  });
-
-  size_t total = 0;
-  for (const auto& f : frags) total += f.size();
-  result->rowids.reserve(result->rowids.size() + total);
-  for (const auto& f : frags) {
-    result->rowids.insert(result->rowids.end(), f.begin(), f.end());
-  }
-  m->morsels = std::move(mm);
-  return nm;
-}
-
-size_t Evaluator::MorselSelectCandidates(const Column& col, RowRange range,
-                                         const Predicate& pred,
-                                         const std::vector<uint8_t>* like_match,
-                                         const std::vector<oid>& candidates,
-                                         Intermediate* result, OpMetrics* m) {
-  MorselSource src(0, candidates.size(), MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return 0;
-
-  std::vector<std::vector<oid>> frags(nm);
-  std::vector<uint64_t> accesses(nm, 0);
-  std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    SelectCandidatesSpan(col, range, pred, like_match,
-                         candidates.data() + ms.begin, ms.size(), &frags[i],
-                         &accesses[i], simd_ops_);
-    // Ascending candidate span; a span crossing this clone's slice boundary
-    // reports no domain (see MorselGather's domain note — the tuple counts
-    // would be diluted by clip-only candidates).
-    uint64_t db = candidates[ms.begin];
-    uint64_t de = candidates[ms.end - 1] + 1;
-    if (db < range.begin || de > range.end) db = de = 0;
-    mm[i] = MorselMetrics{ms.size(), frags[i].size(), NowNs() - t0, worker,
-                          db, de};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-select-cand", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].size()));
-    }
-  });
-
-  size_t total = 0;
-  for (const auto& f : frags) total += f.size();
-  result->rowids.reserve(result->rowids.size() + total);
-  for (size_t i = 0; i < nm; ++i) {
-    result->rowids.insert(result->rowids.end(), frags[i].begin(),
-                          frags[i].end());
-    m->random_accesses += accesses[i];
-  }
-  m->morsels = std::move(mm);
-  return nm;
-}
-
-Status Evaluator::MorselGather(const Column& col, const std::vector<oid>& ids,
-                               RowRange range, bool sliced, AlignPolicy align,
-                               Intermediate* result, OpMetrics* m, bool* ran) {
-  *ran = false;
-  MorselSource src(0, ids.size(), MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return Status::OK();
-  *ran = true;
-  // Candidate row ids from selects are ascending, so [first, last+1) is the
-  // base-row domain this morsel covers; the skew-aware mutator validates
-  // monotonicity before using it (pairs-fed id lists may be unsorted). A
-  // sliced clone only owns its slice's share of the candidate span — a
-  // morsel whose span crosses the slice boundary (fully or partially) has
-  // its tuple counts diluted by clip-only candidates, so its domain is
-  // reported unknown and the operator's tuple-skew signal is withheld
-  // rather than mistaking clipping for skew.
-  auto domain = [&ids, &range, sliced](const Morsel& ms) {
-    uint64_t db = ids[ms.begin];
-    uint64_t de = ids[ms.end - 1] + 1;
-    if (sliced && (db < range.begin || de > range.end)) {
-      return std::pair<uint64_t, uint64_t>{0, 0};
-    }
-    return std::pair<uint64_t, uint64_t>{db, de};
-  };
-
-  // Without kAdjust clipping every id yields exactly one output (strict
-  // slices validate, they don't drop), so morsel i owns exactly the output
-  // span [ms.begin, ms.end): workers gather straight into the pre-sized
-  // result — no fragment vectors, no second concatenation pass.
-  if (!(sliced && align == AlignPolicy::kAdjust)) {
-    const size_t hbase = result->head.size();
-    const uint64_t vbase = result->values.size();
-    result->head.resize(hbase + ids.size());
-    if (result->values.is_f64()) {
-      result->values.f64.resize(vbase + ids.size());
-    } else {
-      result->values.i64.resize(vbase + ids.size());
-    }
-    std::vector<Status> statuses(nm);
-    std::vector<MorselMetrics> direct_mm(nm);
-    EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-      const Morsel ms = src.morsel(i);
-      const bool tr =
-          obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-      const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-      const double t0 = NowNs();
-      statuses[i] = GatherRowsAt(col, ids.data() + ms.begin, ms.size(), range,
-                                 /*strict_sliced=*/sliced,
-                                 result->head.data() + hbase + ms.begin,
-                                 &result->values, vbase + ms.begin, simd_ops_);
-      const auto [db, de] = domain(ms);
-      direct_mm[i] =
-          MorselMetrics{ms.size(), ms.size(), NowNs() - t0, worker, db, de};
-      if (tr) {
-        obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-gather", tt0,
-                      obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                      static_cast<int64_t>(ms.size()));
-      }
-    });
-    // Lowest failing morsel = input-order first offender, matching the
-    // whole-list error; the partially written result is discarded upstream.
-    for (const auto& st : statuses) {
-      if (!st.ok()) return st;
-    }
-    m->morsels = std::move(direct_mm);
-    return Status::OK();
-  }
-
-  struct Frag {
-    std::vector<oid> head;
-    ValueVec values;
-    Status status = Status::OK();
-  };
-  std::vector<Frag> frags(nm);
-  for (auto& f : frags) {
-    f.values.type = result->values.type;
-    f.values.dict = result->values.dict;
-  }
-  std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    frags[i].status =
-        GatherRowsSpan(col, ids.data() + ms.begin, ms.size(), range, sliced,
-                       align, &frags[i].head, &frags[i].values, simd_ops_);
-    const auto [db, de] = domain(ms);
-    mm[i] = MorselMetrics{ms.size(), frags[i].values.size(), NowNs() - t0,
-                          worker, db, de};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-gather", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].values.size()));
-    }
-  });
-
-  // Errors surface from the lowest-indexed failing morsel: morsel order is
-  // input order, so this is the same first-offender error the whole-list
-  // kernel (and the scalar interpreter) reports.
-  for (const auto& f : frags) {
-    if (!f.status.ok()) return f.status;
-  }
-  size_t total = 0;
-  for (const auto& f : frags) total += f.head.size();
-  result->head.reserve(result->head.size() + total);
-  result->values.Reserve(result->values.size() + total);
-  for (auto& f : frags) {
-    result->head.insert(result->head.end(), f.head.begin(), f.head.end());
-    result->values.Append(f.values);
-  }
-  m->morsels = std::move(mm);
-  return Status::OK();
+MorselScheduler* Evaluator::Fleet() {
+  return MorselsEnabled() ? EnsureMorselScheduler().get() : nullptr;
 }
 
 size_t Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
                                 Intermediate* result, OpMetrics* m) {
   ParallelAggOptions o;
   o.morsel_rows = MorselRowsForNode(m->node_id);
-  o.scheduler = EnsureMorselScheduler().get();
+  o.scheduler = Fleet();
   std::vector<MorselMetrics> mm;
   const size_t nm = ParallelGroupBy(keys, n, o, &result->group_ids,
                                     &result->group_keys.i64, &mm);
@@ -427,36 +303,12 @@ size_t Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
   return nm;
 }
 
-size_t Evaluator::MorselGroupedAgg(const int64_t* gids, uint64_t n,
-                                   const ValueVec* vals, AggFn fn,
-                                   uint64_t ngroups, Intermediate* result) {
-  const double* vf = nullptr;
-  const int64_t* vi = nullptr;
-  if (vals != nullptr) {
-    if (vals->is_f64()) {
-      vf = vals->f64.data();
-    } else {
-      vi = vals->i64.data();
-    }
-  }
-  ParallelAggOptions o;
-  o.morsel_rows = EffectiveMorselRows();
-  o.scheduler = EnsureMorselScheduler().get();
-  o.simd = simd_ops_;
-  // No per-morsel metrics here: a morsel's output is a partial over an
-  // unknowable share of the ngroups output rows, so per-morsel tuple counts
-  // could not sum to the operator totals the profiler relies on.
-  return ParallelGroupedAgg(gids, n, vf, vi, fn, ngroups, o,
-                            result->agg_vals.data(),
-                            result->agg_counts.data());
-}
-
 size_t Evaluator::MorselSortPerm(const SortKeys& keys, uint64_t n,
                                  bool descending, uint64_t limit,
                                  std::vector<uint64_t>* perm, OpMetrics* m) {
   ParallelSortOptions o;
   o.morsel_rows = MorselRowsForNode(m->node_id);
-  o.scheduler = EnsureMorselScheduler().get();
+  o.scheduler = Fleet();
   o.limit = limit;
   std::vector<std::vector<uint64_t>> runs;
   std::vector<MorselMetrics> mm;
@@ -480,50 +332,6 @@ size_t Evaluator::MorselSortPerm(const SortKeys& keys, uint64_t n,
   guard.Add(out_len * sizeof(uint64_t));
   ParallelMergeRuns(spans, SortKeyLess{keys, descending}, o, out_len,
                     perm->data(), &mm);
-  m->morsels = std::move(mm);
-  return nm;
-}
-
-size_t Evaluator::MorselJoinProbe(
-    uint64_t n,
-    const std::function<void(uint64_t, uint64_t, std::vector<oid>*,
-                             std::vector<oid>*)>& probe_span,
-    Intermediate* result, OpMetrics* m) {
-  MorselSource src(0, n, MorselRowsForNode(m->node_id));
-  const size_t nm = src.num_morsels();
-  if (nm < 2) return 0;
-
-  // Per-probe match order is the hash chain order of one shared (read-only)
-  // build, so concatenating per-morsel pair fragments in morsel order
-  // reproduces the sequential probe loop bit-for-bit.
-  struct Frag {
-    std::vector<oid> l, r;
-  };
-  std::vector<Frag> frags(nm);
-  std::vector<MorselMetrics> mm(nm);
-  EnsureMorselScheduler()->ParallelFor(nm, [&](size_t i, int worker) {
-    const Morsel ms = src.morsel(i);
-    const bool tr =
-        obs::TraceEnabled() && (i & obs::kMorselSampleMask) == 0;
-    const uint64_t tt0 = tr ? obs::TraceTicks() : 0;
-    const double t0 = NowNs();
-    probe_span(ms.begin, ms.end, &frags[i].l, &frags[i].r);
-    mm[i] = MorselMetrics{ms.size(), frags[i].l.size(), NowNs() - t0, worker};
-    if (tr) {
-      obs::EmitSpan(obs::SpanKind::kMorsel, "morsel-probe", tt0,
-                    obs::TraceTicks(), m->node_id, static_cast<int64_t>(i),
-                    static_cast<int64_t>(frags[i].l.size()));
-    }
-  });
-
-  size_t total = 0;
-  for (const auto& f : frags) total += f.l.size();
-  result->rowids.reserve(result->rowids.size() + total);
-  result->rrowids.reserve(result->rrowids.size() + total);
-  for (const auto& f : frags) {
-    result->rowids.insert(result->rowids.end(), f.l.begin(), f.l.end());
-    result->rrowids.insert(result->rrowids.end(), f.r.begin(), f.r.end());
-  }
   m->morsels = std::move(mm);
   return nm;
 }
@@ -566,10 +374,6 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   std::vector<uint8_t> done(plan.num_nodes(), 0);
   std::vector<OpMetrics> metrics(order.size());
 
-  // Create the morsel scheduler on this thread before nodes fan out to pool
-  // workers; lazy creation inside a worker would race.
-  if (MorselsEnabled()) EnsureMorselScheduler();
-
   {
     std::lock_guard<std::mutex> lock(hash_mu_);
     hash_builds_.clear();
@@ -582,10 +386,7 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
                            static_cast<int64_t>(order.size()),
                            static_cast<int64_t>(obs::CurrentQueryId()));
   double t0 = NowNs();
-  Status exec_st =
-      options_.num_threads > 1
-          ? ExecuteParallel(plan, order, &slots, &done, &metrics)
-          : ExecuteSerial(plan, order, &slots, &done, &metrics);
+  Status exec_st = RunNodes(plan, order, &slots, &done, &metrics);
   // Uncharge every materialized slot (ExecNode charged each completed
   // node's output durable) before slots are moved out — on the error path
   // too, so a failed query cannot leave drift behind.
@@ -630,127 +431,73 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   return Status::OK();
 }
 
-Status Evaluator::ExecuteSerial(const QueryPlan& plan,
-                                const std::vector<int>& order,
-                                std::vector<Intermediate>* slots,
-                                std::vector<uint8_t>* done,
-                                std::vector<OpMetrics>* metrics) {
+Status Evaluator::RunNodes(const QueryPlan& plan,
+                           const std::vector<int>& order,
+                           std::vector<Intermediate>* slots,
+                           std::vector<uint8_t>* done,
+                           std::vector<OpMetrics>* metrics) {
   ExecContext ctx{slots, done};
-  for (size_t i = 0; i < order.size(); ++i) {
-    int id = order[i];
-    const PlanNode& node = plan.node(id);
+  auto run = [&](size_t i) {
+    const PlanNode& node = plan.node(order[i]);
     OpMetrics& m = (*metrics)[i];
-    m.node_id = id;
+    m.node_id = node.id;
     m.kind = node.kind;
-    APQ_RETURN_NOT_OK(ExecNode(plan, node, ctx, &(*slots)[id], &m));
-    (*done)[id] = 1;
+    return ExecNode(plan, node, ctx, &(*slots)[node.id], &m);
+  };
+
+  // Only exchange clones are worth a fleet job: a plan without a union runs
+  // inline, node after node, so serial plans keep their thread use. The
+  // fleet is created here, on the calling thread, before any node runs:
+  // lazy creation inside a node task would race.
+  MorselScheduler* fleet = Fleet();
+  const bool has_union =
+      std::any_of(order.begin(), order.end(), [&](int id) {
+        return plan.node(id).kind == OpKind::kExchangeUnion;
+      });
+  if (fleet == nullptr || !has_union) {
+    for (size_t i = 0; i < order.size(); ++i) {
+      APQ_RETURN_NOT_OK(run(i));
+      (*done)[order[i]] = 1;
+    }
+    return Status::OK();
+  }
+
+  // Dataflow levels: a node's level is the length of its longest input path
+  // from a leaf, so every input of a level ran in an earlier one. Levels hold
+  // topological positions in ascending order.
+  std::vector<size_t> level_of(plan.num_nodes(), 0);
+  std::vector<std::vector<size_t>> levels;
+  for (size_t i = 0; i < order.size(); ++i) {
+    size_t lv = 0;
+    for (int in : plan.node(order[i]).inputs) {
+      lv = std::max(lv, level_of[in] + 1);
+    }
+    level_of[order[i]] = lv;
+    if (levels.size() <= lv) levels.resize(lv + 1);
+    levels[lv].push_back(i);
+  }
+  for (const std::vector<size_t>& level : levels) {
+    std::vector<Status> st(level.size());
+    if (level.size() == 1) {
+      st[0] = run(level[0]);
+    } else {
+      // Node tasks bill nothing themselves: each operator bills its own time
+      // (ExecNode) and morsels, so query cpu_ns stays the operators' sum.
+      fleet->ParallelFor(
+          level.size(), [&](size_t k, int) { st[k] = run(level[k]); },
+          /*bill=*/false);
+    }
+    Status first = Status::OK();
+    for (size_t k = 0; k < level.size(); ++k) {
+      if (st[k].ok()) {
+        (*done)[order[level[k]]] = 1;
+      } else if (first.ok()) {
+        first = st[k];  // lowest topological failure of this level
+      }
+    }
+    APQ_RETURN_NOT_OK(first);
   }
   return Status::OK();
-}
-
-Status Evaluator::ExecuteParallel(const QueryPlan& plan,
-                                  const std::vector<int>& order,
-                                  std::vector<Intermediate>* slots,
-                                  std::vector<uint8_t>* done,
-                                  std::vector<OpMetrics>* metrics) {
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-
-  const int n = plan.num_nodes();
-  // Dataflow bookkeeping over reachable nodes. Duplicate inputs (e.g. a map
-  // of x with itself) contribute one pending count per edge.
-  std::vector<int> topo_pos(n, -1);
-  for (size_t i = 0; i < order.size(); ++i) topo_pos[order[i]] = static_cast<int>(i);
-  std::vector<std::vector<int>> consumers(n);
-  std::vector<int> pending(n, 0);
-  for (int id : order) {
-    for (int in : plan.node(id).inputs) {
-      consumers[in].push_back(id);
-      ++pending[id];
-    }
-  }
-
-  struct Control {
-    std::mutex mu;
-    std::condition_variable cv;
-    Status error = Status::OK();
-    bool failed = false;
-    size_t remaining = 0;   // reachable nodes not yet completed
-    int in_flight = 0;      // tasks submitted but not finished
-  } ctl;
-  ctl.remaining = order.size();
-
-  ExecContext ctx{slots, done};
-
-  // Pool workers have no query-id scope of their own; carry the submitting
-  // thread's id across so their charges and bills land on the right query.
-  const uint64_t query_id = obs::CurrentQueryId();
-
-  // run_node executes one ready node on a worker, then (under the control
-  // lock) retires it and collects consumers that became ready. All cross-
-  // thread visibility of slots/done flows through ctl.mu: a consumer is only
-  // scheduled after its producers published their slots under the lock.
-  std::function<void(int)> schedule;
-  std::function<void(int)> run_node = [&](int id) {
-    obs::QueryIdScope query_scope(query_id);
-    bool skip;
-    {
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      skip = ctl.failed;
-    }
-    Status st = Status::OK();
-    Intermediate result;
-    OpMetrics m;
-    if (!skip) {
-      const PlanNode& node = plan.node(id);
-      m.node_id = id;
-      m.kind = node.kind;
-      st = ExecNode(plan, node, ctx, &result, &m);
-    }
-    std::vector<int> ready;
-    {
-      std::lock_guard<std::mutex> lock(ctl.mu);
-      --ctl.in_flight;
-      if (!skip && st.ok()) {
-        (*slots)[id] = std::move(result);
-        (*metrics)[topo_pos[id]] = m;
-        (*done)[id] = 1;
-        --ctl.remaining;
-        if (!ctl.failed) {
-          for (int c : consumers[id]) {
-            if (--pending[c] == 0) ready.push_back(c);
-          }
-        }
-      } else if (!skip && !ctl.failed) {
-        ctl.failed = true;
-        ctl.error = st;
-      }
-      ctl.in_flight += static_cast<int>(ready.size());
-      // Notify while holding the lock: the waiter owns ctl's stack frame and
-      // may destroy it the moment it observes the predicate, so an unlocked
-      // notify could touch a dead condition_variable.
-      if ((ctl.remaining == 0 || ctl.failed) && ctl.in_flight == 0) {
-        ctl.cv.notify_all();
-      }
-    }
-    for (int c : ready) schedule(c);
-  };
-  schedule = [&](int id) { pool_->Submit([&run_node, id] { run_node(id); }); };
-
-  std::vector<int> roots;
-  for (int id : order) {
-    if (pending[id] == 0) roots.push_back(id);
-  }
-  {
-    std::lock_guard<std::mutex> lock(ctl.mu);
-    ctl.in_flight = static_cast<int>(roots.size());
-  }
-  for (int id : roots) schedule(id);
-
-  std::unique_lock<std::mutex> lock(ctl.mu);
-  ctl.cv.wait(lock, [&] {
-    return (ctl.remaining == 0 || ctl.failed) && ctl.in_flight == 0;
-  });
-  return ctl.failed ? ctl.error : Status::OK();
 }
 
 Status Evaluator::ExecNode(const QueryPlan& plan, const PlanNode& node,
@@ -854,26 +601,36 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
   }
 
   if (options_.use_kernels) {
-    // Morsel-driven path first: splits the input across the work-stealing
-    // scheduler and concatenates per-morsel fragments in input order. Returns
-    // 0 when disabled or when the input fits in a single morsel, in which
-    // case the whole-column kernel below runs (identical output either way).
-    size_t nm = 0;
-    if (MorselsEnabled()) {
-      nm = in ? MorselSelectCandidates(col, range, node.pred, &like_match,
-                                       in->rowids, result, m)
-              : MorselSelectDense(col, range, node.pred, &like_match, result,
-                                  m);
+    // SelectDense appends row ids in row order within its span, so the
+    // per-morsel outputs concatenated in morsel order reproduce one
+    // whole-range call bit-for-bit.
+    std::vector<SpanOut> outs;
+    if (in) {
+      const oid* cand = in->rowids.data();
+      outs = RunSpans(
+          Fleet(), MorselRowsForNode(node.id), 0, in->rowids.size(),
+          "morsel-select-cand", m,
+          [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+            SelectCandidatesSpan(col, range, node.pred, &like_match, cand + b,
+                                 e - b, &o->rows, &o->accesses, simd_ops_);
+            mm->tuples_out = o->rows.size();
+            SetIdDomain(cand, b, e, range, mm);
+          });
+      for (const SpanOut& o : outs) m->random_accesses += o.accesses;
+    } else {
+      outs = RunSpans(
+          Fleet(), MorselRowsForNode(node.id), range.begin, range.end,
+          "morsel-select", m,
+          [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+            SelectDense(col, RowRange{b, e}, node.pred, &like_match, &o->rows,
+                        simd_ops_);
+            mm->tuples_out = o->rows.size();
+            mm->domain_begin = b;
+            mm->domain_end = e;
+          });
     }
-    if (nm == 0) {
-      if (in) {
-        SelectCandidates(col, range, node.pred, &like_match, in->rowids,
-                         &result->rowids, &m->random_accesses, simd_ops_);
-      } else {
-        SelectDense(col, range, node.pred, &like_match, &result->rowids,
-                    simd_ops_);
-      }
-    }
+    ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
+                &result->rowids);
   } else {
     // Scalar reference path: per-row lambda re-dispatching on kind and type.
     bool is_f64 = col.type() == DataType::kFloat64;
@@ -941,14 +698,51 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   // sibling clones (covering the neighbouring slices) produce the rest.
   bool sliced = node.has_slice;
   if (options_.use_kernels) {
-    bool morsels_ran = false;
-    if (MorselsEnabled()) {
-      APQ_RETURN_NOT_OK(MorselGather(col, *ids, range, sliced, node.align,
-                                     result, m, &morsels_ran));
+    // Without kAdjust clipping every id yields exactly one value, so span
+    // [b, e) owns output positions [b, e) and gathers straight into the
+    // pre-sized result; clipped spans gather into their own outputs, which
+    // are concatenated in input order.
+    const bool clip = sliced && node.align == AlignPolicy::kAdjust;
+    const oid* idp = ids->data();
+    if (!clip) {
+      result->head.resize(ids->size());
+      if (result->values.is_f64()) {
+        result->values.f64.resize(ids->size());
+      } else {
+        result->values.i64.resize(ids->size());
+      }
     }
-    if (!morsels_ran) {
-      APQ_RETURN_NOT_OK(GatherRows(col, *ids, range, sliced, node.align,
-                                   &result->head, &result->values, simd_ops_));
+    std::vector<SpanOut> outs = RunSpans(
+        Fleet(), MorselRowsForNode(node.id), 0, ids->size(), "morsel-gather",
+        m, [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+          if (clip) {
+            o->values = MakeVecLike(col);
+            o->status =
+                GatherRowsSpan(col, idp + b, e - b, range, true, node.align,
+                               &o->rows, &o->values, simd_ops_);
+            mm->tuples_out = o->values.size();
+          } else {
+            o->status = GatherRowsAt(col, idp + b, e - b, range, sliced,
+                                     result->head.data() + b, &result->values,
+                                     b, simd_ops_);
+            mm->tuples_out = e - b;
+          }
+          SetIdDomain(idp, b, e, range, mm);
+        });
+    // The lowest failing span holds the input-order first offender, the
+    // same error one whole-list call (and the scalar interpreter) reports;
+    // a partially written result is discarded upstream.
+    for (const SpanOut& o : outs) APQ_RETURN_NOT_OK(o.status);
+    if (clip) {
+      ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
+                  &result->head);
+      if (result->values.is_f64()) {
+        ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.values.f64; },
+                    &result->values.f64);
+      } else {
+        ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.values.i64; },
+                    &result->values.i64);
+      }
     }
   } else {
     result->head.reserve(ids->size());
@@ -997,22 +791,25 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
     l->insert(l->end(), r->size() - before, outer_row);
   };
   // Each input shape defines its probe loop once, as a span over input
-  // positions [b, e): the morsel-parallel tier (exec/agg) runs it per morsel
-  // into ordered pair fragments, and when that declines (input fits one
-  // morsel, or the tier is off) the same span runs sequentially over the
-  // whole input into the result vectors. One loop body per shape — the
-  // parallel and sequential paths cannot diverge.
+  // positions [b, e). Per-probe match order is the hash chain order of one
+  // shared (read-only) build, so the per-morsel pair outputs concatenated in
+  // morsel order reproduce one probe over the whole input bit-for-bit.
   auto run_probe = [&](uint64_t n,
                        const std::function<void(uint64_t, uint64_t,
                                                 std::vector<oid>*,
                                                 std::vector<oid>*)>& span) {
-    size_t nm = 0;
-    if (ParallelAggEnabled()) nm = MorselJoinProbe(n, span, result, m);
-    if (nm == 0) {
-      result->rowids.reserve(n);
-      result->rrowids.reserve(n);
-      span(0, n, &result->rowids, &result->rrowids);
-    }
+    std::vector<SpanOut> outs = RunSpans(
+        Fleet(), MorselRowsForNode(node.id), 0, n, "morsel-probe", m,
+        [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+          o->rows.reserve(e - b);
+          o->rrows.reserve(e - b);
+          span(b, e, &o->rows, &o->rrows);
+          mm->tuples_out = o->rows.size();
+        });
+    ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
+                &result->rowids);
+    ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rrows; },
+                &result->rrowids);
   };
 
   if (!node.inputs.empty()) {
@@ -1114,7 +911,7 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     // Parallel ingest (exec/agg tier) needs contiguous int64 keys; f64 group
     // keys (rare — AsInt truncation per row) stay sequential.
     size_t nm = 0;
-    if (ParallelAggEnabled() && !in->values.is_f64()) {
+    if (!in->values.is_f64()) {
       nm = MorselGroupBy(in->values.i64.data(), n, result, m);
     }
     if (nm == 0) {
@@ -1127,11 +924,8 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     result->group_keys.type = DataType::kInt64;
     result->origin = range;
     m->tuples_in = range.size();
-    size_t nm = 0;
-    if (ParallelAggEnabled()) {
-      nm = MorselGroupBy(col.i64().data() + range.begin, range.size(), result,
-                         m);
-    }
+    size_t nm = MorselGroupBy(col.i64().data() + range.begin, range.size(),
+                              result, m);
     if (nm == 0) {
       ingest_all([&](uint64_t i) { return col.i64()[range.begin + i]; },
                  range.size());
@@ -1178,34 +972,24 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
     result->agg_vals.assign(ngroups, init);
     uint64_t n = first->group_ids.size();
     m->tuples_in = n;
-    // Parallel grouped aggregation (exec/agg tier): per-morsel partial
-    // tables merged over group-id ranges. COUNT/MIN/MAX and all counts are
-    // bit-identical to the loop below; SUM/AVG merge partial sums in morsel
-    // order (deterministic, last-bit reassociation vs the sequential fold).
-    size_t nm = 0;
-    if (ParallelAggEnabled() && ngroups > 0) {
-      nm = MorselGroupedAgg(first->group_ids.data(), n,
-                            vals ? &vals->values : nullptr, node.agg_fn,
-                            ngroups, result);
-    }
-    if (nm == 0) {
-      for (uint64_t i = 0; i < n; ++i) {
-        int64_t g = first->group_ids[i];
-        double v = vals ? vals->values.AsDouble(i) : 1.0;
-        switch (node.agg_fn) {
-          case AggFn::kSum:
-          case AggFn::kAvg: result->agg_vals[g] += v; break;
-          case AggFn::kCount: result->agg_vals[g] += 1.0; break;
-          case AggFn::kMin:
-            result->agg_vals[g] = std::min(result->agg_vals[g], v);
-            break;
-          case AggFn::kMax:
-            result->agg_vals[g] = std::max(result->agg_vals[g], v);
-            break;
-          case AggFn::kNone: break;
-        }
-        result->agg_counts[g] += 1;
+    // One sequential fold: every group sees its rows in input order, so
+    // SUM/AVG do not depend on morsel size or worker count.
+    for (uint64_t i = 0; i < n; ++i) {
+      int64_t g = first->group_ids[i];
+      double v = vals ? vals->values.AsDouble(i) : 1.0;
+      switch (node.agg_fn) {
+        case AggFn::kSum:
+        case AggFn::kAvg: result->agg_vals[g] += v; break;
+        case AggFn::kCount: result->agg_vals[g] += 1.0; break;
+        case AggFn::kMin:
+          result->agg_vals[g] = std::min(result->agg_vals[g], v);
+          break;
+        case AggFn::kMax:
+          result->agg_vals[g] = std::max(result->agg_vals[g], v);
+          break;
+        case AggFn::kNone: break;
       }
+      result->agg_counts[g] += 1;
     }
     if (node.agg_fn == AggFn::kAvg) {
       for (size_t g = 0; g < ngroups; ++g) {
@@ -1620,11 +1404,9 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
         node.kind == OpKind::kTopN && node.limit > 0 && node.limit < n
             ? node.limit
             : 0;
-    size_t nm = 0;
-    if (ParallelSortEnabled()) {
-      nm = MorselSortPerm(keys, n, node.descending, limit, perm, m);
+    if (MorselSortPerm(keys, n, node.descending, limit, perm, m) == 0) {
+      SortPermSequential(keys, n, node.descending, limit, perm);
     }
-    if (nm == 0) SortPermSequential(keys, n, node.descending, limit, perm);
   };
   auto keys_of = [](const ValueVec& v) {
     return v.is_f64() ? SortKeys{v.f64.data(), nullptr}

@@ -4,18 +4,26 @@
 // Results are always exact regardless of how the plan was parallelized. Two
 // timings exist for a run: the virtual-time simulator (src/sched/simulator.h)
 // converts the metrics gathered here into the paper machine's time, and the
-// evaluator itself can execute independent plan nodes (exchange clone
-// subtrees) concurrently on a real thread pool for hardware wall-clock truth.
+// evaluator's own wall clock is hardware truth.
 //
-// The hot path is vectorized: selects and fetch-joins run through the batch
-// kernels in exec/kernels.h (selection vectors, branch-hoisted tight loops).
+// One thread fleet, the MorselScheduler, carries all real parallelism. A plan
+// containing an exchange union runs one dataflow level at a time (a level is
+// the nodes whose longest input path from a leaf has the same length), each
+// multi-node level as one fleet job, so exchange clones run concurrently.
+// Within a node, selects, fetch-join gathers and join probes run one span
+// kernel from exec/kernels.h: per morsel on the fleet when the input splits,
+// once inline over the whole input otherwise; group-by ingest and sort do
+// the same through exec/agg and exec/sort. Grouped aggregation is one
+// sequential fold, so every group sums its rows in input order. Plans
+// without a union, and evaluators without a fleet, run their nodes inline in
+// topological order.
+//
 // The original row-at-a-time interpreter is retained behind
 // ExecOptions::use_kernels = false as a reference implementation for
 // correctness tests and the scalar-vs-vectorized microbenchmarks.
 #ifndef APQ_EXEC_EVALUATOR_H_
 #define APQ_EXEC_EVALUATOR_H_
 
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -31,7 +39,6 @@
 #include "obs/trace.h"
 #include "plan/plan.h"
 #include "sched/morsel_scheduler.h"
-#include "sched/thread_pool.h"
 #include "util/status.h"
 
 namespace apq {
@@ -76,16 +83,13 @@ struct ExecOptions {
   /// Use the vectorized selection-vector kernels (exec/kernels.h). When
   /// false, the original scalar row-at-a-time interpreter runs instead.
   bool use_kernels = true;
-  /// Worker threads for plan-node execution. 1 = serial (in the calling
-  /// thread); >1 = independent nodes (exchange clone subtrees) run
-  /// concurrently on a shared thread pool. 0 = one per hardware thread.
-  int num_threads = 1;
-  /// Morsel-driven intra-operator execution: dense selects, candidate
-  /// selects, and fetch-join gathers are split into fixed-size morsels and
-  /// executed on a work-stealing scheduler (sched/morsel_scheduler.h), then
-  /// concatenated in morsel order — bit-identical to whole-column kernels.
-  /// Requires use_kernels; the scalar interpreter is never morselized.
-  /// The APQ_FORCE_MORSELS=1 environment variable overrides this to true.
+  /// Give this evaluator a thread fleet (sched/morsel_scheduler.h): operator
+  /// inputs split into fixed-size morsels run as fleet tasks and are
+  /// concatenated in morsel order — bit-identical to whole-column execution —
+  /// and the clone levels of exchange-parallelized plans run concurrently.
+  /// Requires use_kernels; the scalar interpreter never uses a fleet. An
+  /// injected scheduler (set_morsel_scheduler) or the APQ_FORCE_MORSELS
+  /// environment variable turns this on too.
   bool use_morsels = false;
   /// Rows per morsel (0 = kDefaultMorselRows).
   uint64_t morsel_rows = kDefaultMorselRows;
@@ -93,24 +97,6 @@ struct ExecOptions {
   /// thread). Ignored when a shared scheduler is injected via
   /// set_morsel_scheduler (the multi-query configuration).
   int morsel_workers = 0;
-  /// Morsel-parallel aggregation and hash-join probe (exec/agg/): group-by
-  /// ingest runs through thread-local AggTables with a partitioned merge
-  /// (group ids renumbered to the scalar first-occurrence order), grouped
-  /// aggregation through per-morsel partials merged by group-id range, and
-  /// the join probe produces ordered pair fragments. Only active when
-  /// morsels are enabled (use_morsels / APQ_FORCE_MORSELS); flip this off to
-  /// keep selects/gathers morselized while aggregation and probe stay
-  /// whole-column.
-  bool use_parallel_agg = true;
-  /// Morsel-parallel sort (exec/sort/): kSort/kTopN inputs are sorted into
-  /// morsel-local stable runs combined by a merge-path-partitioned
-  /// loser-tree k-way merge — every comparison keyed by (value, original
-  /// position), so the permutation is bit-identical to the scalar stable
-  /// sort at any morsel size, worker count, or steal order. Bounded top-N
-  /// keeps a limit-sized selection per run and merges only runs x limit
-  /// candidates. Only active when morsels are enabled (use_morsels /
-  /// APQ_FORCE_MORSELS, which forces this tier on too).
-  bool use_parallel_sort = true;
   /// SIMD dispatch tier for the vectorized kernels: kAuto resolves to the
   /// best level the CPU supports (cpuid probe), lower levels pin the tier
   /// (for differential testing). The APQ_SIMD environment variable
@@ -125,13 +111,6 @@ struct ExecOptions {
   /// Chrome-trace export. Tracing never changes results — only timings are
   /// observed — and costs one branch per span site when off.
   bool trace = false;
-  /// Honor per-node morsel-size overrides injected between runs via
-  /// SetAdaptiveMorselRows: the adaptive loop shrinks the morsel size of
-  /// operators whose previous run showed high intra-operator skew, so
-  /// work-stealing rebalances within the operator (more, smaller tasks)
-  /// before the mutator has even re-partitioned it. Results stay
-  /// bit-identical at any morsel size; this only changes task granularity.
-  bool adaptive_morsel_rows = true;
 };
 
 /// Registers the apq_build_info metric (constant 1, labeled with the
@@ -151,11 +130,6 @@ class Evaluator {
   explicit Evaluator(ExecOptions options) { set_options(options); }
 
   void set_options(ExecOptions options) {
-    if (options.num_threads == 0) {
-      options.num_threads = ThreadPool::DefaultThreads();
-    }
-    if (options.num_threads < 1) options.num_threads = 1;
-    if (options_.num_threads != options.num_threads) pool_.reset();
     // A lazily created scheduler is rebuilt at the new worker count; an
     // injected (shared) scheduler is never dropped by an options change.
     if (options_.morsel_workers != options.morsel_workers &&
@@ -181,11 +155,6 @@ class Evaluator {
   }
   const ExecOptions& options() const { return options_; }
   void set_use_kernels(bool on) { options_.use_kernels = on; }
-  void set_num_threads(int n) {
-    ExecOptions o = options_;
-    o.num_threads = n;
-    set_options(o);
-  }
 
   /// Executes `plan`; on success fills `out`.
   Status Execute(const QueryPlan& plan, EvalResult* out);
@@ -217,18 +186,10 @@ class Evaluator {
   /// workers) if none was injected.
   const std::shared_ptr<MorselScheduler>& EnsureMorselScheduler();
 
-  /// True when morsel-driven execution applies: use_morsels (or the
-  /// APQ_FORCE_MORSELS=1 environment override) and the vectorized kernels.
+  /// True when this evaluator has a thread fleet: the vectorized kernels
+  /// plus use_morsels, an injected scheduler, or the APQ_FORCE_MORSELS
+  /// environment override.
   bool MorselsEnabled() const;
-
-  /// True when the parallel aggregation/probe tier applies: morsels enabled
-  /// and use_parallel_agg (APQ_FORCE_MORSELS forces this tier on too, so a
-  /// forced CI run exercises every morselized operator).
-  bool ParallelAggEnabled() const;
-
-  /// True when the parallel sort tier applies: morsels enabled and
-  /// use_parallel_sort (APQ_FORCE_MORSELS forces this tier on too).
-  bool ParallelSortEnabled() const;
 
   /// Rows per morsel actually used: options().morsel_rows, unless
   /// APQ_FORCE_MORSELS carries an explicit row count (e.g. =4096).
@@ -245,8 +206,7 @@ class Evaluator {
   const simd::SimdOps* simd_ops() const { return simd_ops_; }
 
   /// Rows per morsel for one specific plan node: the adaptive override when
-  /// one was injected (and options().adaptive_morsel_rows is on), otherwise
-  /// EffectiveMorselRows().
+  /// one was injected, otherwise EffectiveMorselRows().
   uint64_t MorselRowsForNode(int node_id) const;
 
   /// Injects per-node morsel-size overrides for subsequent Execute() calls
@@ -263,21 +223,24 @@ class Evaluator {
 
  private:
   /// Read view over per-node result slots during one execution. A node id is
-  /// readable iff done[id] is set, which the schedulers guarantee for every
-  /// input before a node runs.
+  /// readable iff done[id] is set, which RunNodes guarantees for every input
+  /// before a node runs.
   struct ExecContext {
     const std::vector<Intermediate>* slots = nullptr;
     const std::vector<uint8_t>* done = nullptr;
   };
 
-  Status ExecuteSerial(const QueryPlan& plan, const std::vector<int>& order,
-                       std::vector<Intermediate>* slots,
-                       std::vector<uint8_t>* done,
-                       std::vector<OpMetrics>* metrics);
-  Status ExecuteParallel(const QueryPlan& plan, const std::vector<int>& order,
-                         std::vector<Intermediate>* slots,
-                         std::vector<uint8_t>* done,
-                         std::vector<OpMetrics>* metrics);
+  /// Runs the nodes of `order` (topological) into their slots: inline in
+  /// order, or — for a plan with an exchange union on an evaluator with a
+  /// fleet — one dataflow level at a time, each multi-node level as one
+  /// fleet job. Sets done[id] for every node that succeeded. Levels stop at
+  /// the first one with a failure and return the error of its lowest
+  /// topological node: deterministic, but with failures on two levels not
+  /// always the error inline execution stops at (clone chains interleave in
+  /// topological order).
+  Status RunNodes(const QueryPlan& plan, const std::vector<int>& order,
+                  std::vector<Intermediate>* slots, std::vector<uint8_t>* done,
+                  std::vector<OpMetrics>* metrics);
 
   Status ExecNode(const QueryPlan& plan, const PlanNode& node,
                   const ExecContext& ctx, Intermediate* result, OpMetrics* m);
@@ -304,35 +267,16 @@ class Evaluator {
   Status ExecSort(const PlanNode& node, const ExecContext& ctx,
                   Intermediate* result, OpMetrics* m);
 
-  /// Morsel-parallel select over a dense range. Returns the number of morsels
-  /// run (0 = caller should take the whole-column path).
-  size_t MorselSelectDense(const Column& col, RowRange range,
-                           const Predicate& pred,
-                           const std::vector<uint8_t>* like_match,
-                           Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel select over a candidate list.
-  size_t MorselSelectCandidates(const Column& col, RowRange range,
-                                const Predicate& pred,
-                                const std::vector<uint8_t>* like_match,
-                                const std::vector<oid>& candidates,
-                                Intermediate* result, OpMetrics* m);
-  /// Morsel-parallel fetch-join gather; on success appends to result->head /
-  /// result->values. `*ran` reports whether the morsel path was taken.
-  Status MorselGather(const Column& col, const std::vector<oid>& ids,
-                      RowRange range, bool sliced, AlignPolicy align,
-                      Intermediate* result, OpMetrics* m, bool* ran);
+  /// The fleet morsel tasks run on: the (created on first use) scheduler
+  /// when MorselsEnabled(), else null — every morsel routine then runs its
+  /// kernel once inline over the whole input.
+  MorselScheduler* Fleet();
 
   /// Morsel-parallel group-by ingest over keys[0..n) (exec/agg/): fills
   /// result->group_ids / group_keys.i64 in the scalar first-occurrence
   /// order. Returns morsels run (0 = take the sequential path).
   size_t MorselGroupBy(const int64_t* keys, uint64_t n, Intermediate* result,
                        OpMetrics* m);
-
-  /// Morsel-parallel grouped aggregation into the pre-initialized
-  /// result->agg_vals / agg_counts (AVG left undivided, as sequentially).
-  size_t MorselGroupedAgg(const int64_t* gids, uint64_t n,
-                          const ValueVec* vals, AggFn fn, uint64_t ngroups,
-                          Intermediate* result);
 
   /// Morsel-parallel permutation sort (exec/sort/): fills `perm` with the
   /// first min(limit, n) positions (limit = 0 sorts everything) of [0, n)
@@ -347,23 +291,12 @@ class Evaluator {
                         uint64_t limit, std::vector<uint64_t>* perm,
                         OpMetrics* m);
 
-  /// Morsel-parallel hash-join probe: `probe_span(begin, end, l, r)` probes
-  /// input positions [begin, end) appending matches to the fragment vectors;
-  /// fragments are concatenated in morsel order onto result->rowids/rrowids
-  /// — bit-identical to one sequential probe over [0, n).
-  size_t MorselJoinProbe(
-      uint64_t n,
-      const std::function<void(uint64_t, uint64_t, std::vector<oid>*,
-                               std::vector<oid>*)>& probe_span,
-      Intermediate* result, OpMetrics* m);
-
   std::shared_ptr<HashIndex> GetOrBuildHash(const Column& column);
 
   ExecOptions options_;
   /// Active SIMD dispatch table (see set_options). The default matches the
   /// default ExecOptions: auto-resolved.
   const simd::SimdOps* simd_ops_ = &simd::Resolve(simd::SimdLevel::kAuto);
-  std::unique_ptr<ThreadPool> pool_;  // lazily created when num_threads > 1
   std::shared_ptr<MorselScheduler> morsel_sched_;  // injected or lazy
   bool morsel_sched_owned_ = false;   // true iff lazily created (not injected)
   /// Per-node morsel-size overrides for the next Execute (adaptive skew

@@ -451,14 +451,6 @@ void SelectDense(const Column& col, RowRange range, const Predicate& pred,
   obs::ChargeTransient((out->size() - before) * sizeof(oid));
 }
 
-void SelectCandidates(const Column& col, RowRange range, const Predicate& pred,
-                      const std::vector<uint8_t>* like_match,
-                      const std::vector<oid>& candidates, std::vector<oid>* out,
-                      uint64_t* random_accesses, const simd::SimdOps* ops) {
-  SelectCandidatesSpan(col, range, pred, like_match, candidates.data(),
-                       candidates.size(), out, random_accesses, ops);
-}
-
 void SelectCandidatesSpan(const Column& col, RowRange range,
                           const Predicate& pred,
                           const std::vector<uint8_t>* like_match,
@@ -483,14 +475,6 @@ void SelectCandidatesSpan(const Column& col, RowRange range,
     });
   }
   obs::ChargeTransient((out->size() - before) * sizeof(oid));
-}
-
-Status GatherRows(const Column& col, const std::vector<oid>& ids,
-                  RowRange range, bool sliced, AlignPolicy align,
-                  std::vector<oid>* head, ValueVec* values,
-                  const simd::SimdOps* ops) {
-  return GatherRowsSpan(col, ids.data(), ids.size(), range, sliced, align,
-                        head, values, ops);
 }
 
 Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,

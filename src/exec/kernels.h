@@ -44,19 +44,13 @@ void SelectDense(const Column& col, RowRange range, const Predicate& pred,
                  const std::vector<uint8_t>* like_match, std::vector<oid>* out,
                  const simd::SimdOps* ops = nullptr);
 
-/// Candidate-list select: like SelectDense but scanning `candidates` instead
-/// of the dense range. Candidates outside `range` are clipped (paper Fig 9
-/// boundary adjustment); `*random_accesses` receives the number of in-range
-/// candidates (each costs a random gather into the slice).
-void SelectCandidates(const Column& col, RowRange range, const Predicate& pred,
-                      const std::vector<uint8_t>* like_match,
-                      const std::vector<oid>& candidates, std::vector<oid>* out,
-                      uint64_t* random_accesses,
-                      const simd::SimdOps* ops = nullptr);
-
-/// Span form of SelectCandidates, scanning `candidates[0..n)`. The morsel
-/// executor runs one span per morsel; concatenating the outputs in span order
-/// equals one whole-list call.
+/// Candidate-list select over `candidates[0..n)`: like SelectDense but
+/// scanning the candidates instead of the dense range. Candidates outside
+/// `range` are clipped (paper Fig 9 boundary adjustment); `*random_accesses`
+/// is increased by the number of in-range candidates (each costs a random
+/// gather into the slice). Concatenating the outputs of consecutive spans
+/// equals one call over the whole list, which is how the morsel executor
+/// splits it.
 void SelectCandidatesSpan(const Column& col, RowRange range,
                           const Predicate& pred,
                           const std::vector<uint8_t>* like_match,
@@ -64,18 +58,12 @@ void SelectCandidatesSpan(const Column& col, RowRange range,
                           std::vector<oid>* out, uint64_t* random_accesses,
                           const simd::SimdOps* ops = nullptr);
 
-/// Fetch-join gather: materializes col[id] for every id in `ids` into
-/// `values` (and the surviving ids into `head`), in input order.
+/// Fetch-join gather over `ids[0..n)`: materializes col[id] for every id
+/// into `values` (and the surviving ids into `head`), in input order.
 ///  - Any id beyond the column is a Misaligned error (reported for the first
 ///    offending id, matching the scalar interpreter).
 ///  - When `sliced`, ids outside `range` are a Misaligned error under
 ///    AlignPolicy::kStrict and are clipped under AlignPolicy::kAdjust.
-Status GatherRows(const Column& col, const std::vector<oid>& ids,
-                  RowRange range, bool sliced, AlignPolicy align,
-                  std::vector<oid>* head, ValueVec* values,
-                  const simd::SimdOps* ops = nullptr);
-
-/// Span form of GatherRows over `ids[0..n)`, for per-morsel gathers.
 /// Error selection is per-span first-offender, so taking the error of the
 /// lowest-indexed failing span reproduces the whole-list error exactly.
 Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,
@@ -83,9 +71,9 @@ Status GatherRowsSpan(const Column& col, const oid* ids, size_t n,
                       std::vector<oid>* head, ValueVec* values,
                       const simd::SimdOps* ops = nullptr);
 
-/// Positional span gather for morsel execution when every id yields exactly
-/// one output value (any case except slice + kAdjust, whose clipping makes
-/// output sizes data-dependent): validates ids[0..n) — full strict-slice
+/// Positional span gather, the fetch-join's kernel whenever every id yields
+/// exactly one output value (any case except slice + kAdjust, whose clipping
+/// makes output sizes data-dependent): validates ids[0..n) — full strict-slice
 /// semantics when `strict_sliced`, beyond-column bounds otherwise — then
 /// writes ids[i] to head_dst[i] and col[ids[i]] to values position
 /// offset + i. head_dst and *values must already be sized; disjoint spans of

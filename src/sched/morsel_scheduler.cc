@@ -7,7 +7,6 @@
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
 #include "obs/trace.h"
-#include "sched/thread_pool.h"
 #include "util/hash_clock.h"
 
 namespace apq {
@@ -22,6 +21,12 @@ std::vector<const MorselScheduler*>& SchedRegistry() {
   static auto* v = new std::vector<const MorselScheduler*>();
   return *v;
 }
+
+// Wall time this thread has spent in ParallelFor calls. RunTask reads what a
+// task added and subtracts it from the task's busy time, so a plan-node task
+// counts only its own work: the morsel tasks it runs as a caller are counted
+// once, as caller work, and its wait for stragglers as neither.
+thread_local double t_nested_ns = 0;
 
 }  // namespace
 
@@ -38,10 +43,11 @@ struct MorselScheduler::Job {
   uint64_t query_id = 0;
   obs::OpAcct* op_acct = nullptr;
   double submit_ns = 0;
+  bool bill = true;
 };
 
 MorselScheduler::MorselScheduler(int num_workers) {
-  if (num_workers <= 0) num_workers = ThreadPool::DefaultThreads();
+  if (num_workers <= 0) num_workers = DefaultWorkers();
   start_ns_ = NowNs();
   slots_.reserve(num_workers);
   for (int i = 0; i < num_workers; ++i) {
@@ -99,6 +105,8 @@ MorselScheduler::~MorselScheduler() {
 
 double MorselScheduler::RunTask(const Task& t, int worker) {
   Job* job = t.job;
+  const double outer_nested = t_nested_ns;
+  t_nested_ns = 0;
   const double t0 = NowNs();
   {
     // Reproduce the submitting thread's accounting context: charges and
@@ -109,7 +117,9 @@ double MorselScheduler::RunTask(const Task& t, int worker) {
     (*job->fn)(t.index, worker);
   }
   const double t1 = NowNs();
-  if (obs::AccountingEnabled() && job->query_id != 0) {
+  const double nested = t_nested_ns;
+  t_nested_ns = outer_nested;
+  if (job->bill && obs::AccountingEnabled() && job->query_id != 0) {
     obs::BillTask(job->query_id, job->op_acct, t1 - t0,
                   t0 - job->submit_ns);
   }
@@ -119,7 +129,7 @@ double MorselScheduler::RunTask(const Task& t, int worker) {
   // thread has yet to take (or still holds) the mutex.
   std::lock_guard<std::mutex> lock(job->mu);
   if (job->remaining.fetch_sub(1) == 1) job->done_cv.notify_all();
-  return t1 - t0;
+  return t1 - t0 - nested;
 }
 
 bool MorselScheduler::PopOwn(int w, Task* out) {
@@ -210,14 +220,17 @@ void MorselScheduler::WorkerLoop(int w) {
 }
 
 void MorselScheduler::ParallelFor(size_t num_tasks,
-                                  const std::function<void(size_t, int)>& fn) {
+                                  const std::function<void(size_t, int)>& fn,
+                                  bool bill) {
   if (num_tasks == 0) return;
+  const double call_t0 = NowNs();
   Job job;
   job.fn = &fn;
+  job.bill = bill;
   job.remaining.store(num_tasks);
   job.query_id = obs::CurrentQueryId();
   job.op_acct = obs::CurrentOpAcct();
-  job.submit_ns = NowNs();
+  job.submit_ns = call_t0;
 
   // pending_ is raised *before* any task becomes claimable, so a worker
   // racing ahead of the dealing loop can never decrement it below zero; the
@@ -253,8 +266,11 @@ void MorselScheduler::ParallelFor(size_t num_tasks,
     const double busy = RunTask(t, kCallerWorker);
     caller_busy_ns_.fetch_add(static_cast<uint64_t>(busy));
   }
-  std::unique_lock<std::mutex> lock(job.mu);
-  job.done_cv.wait(lock, [&job] { return job.remaining.load() == 0; });
+  {
+    std::unique_lock<std::mutex> lock(job.mu);
+    job.done_cv.wait(lock, [&job] { return job.remaining.load() == 0; });
+  }
+  t_nested_ns += NowNs() - call_t0;
 }
 
 void MorselScheduler::MaybeSampleFlight() {

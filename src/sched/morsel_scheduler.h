@@ -1,25 +1,25 @@
-// Morsel-driven intra-operator execution: a work-stealing task scheduler.
+// The engine's one thread fleet: a work-stealing task scheduler.
 //
-// The thread pool (thread_pool.h) exploits *inter-node* dataflow parallelism:
-// independent plan nodes (exchange clone subtrees) run concurrently, but one
-// dense scan still occupies one core. This scheduler supplies the missing
-// *intra-operator* axis, HyPer-style: an operator's input is split into
-// fixed-size morsels (~64K rows, see exec/morsel_source.h), each morsel is an
-// independent task producing a thread-local result fragment, and fragments
-// are concatenated in morsel order so results stay bit-identical to serial
-// whole-column execution.
+// It carries both axes of parallelism. Intra-operator: an operator's input is
+// split into fixed-size morsels (~64K rows, see exec/morsel_source.h), each
+// morsel is an independent task producing a thread-local result fragment, and
+// fragments are concatenated in morsel order so results stay bit-identical to
+// whole-column execution (HyPer-style). Inter-operator: the evaluator runs
+// each dataflow level of an exchange-parallelized plan (the independent clone
+// subtrees the paper's mutations create) as one job whose tasks are plan
+// nodes, and those node tasks submit their own morsel jobs.
 //
 // Scheduling is work-stealing over per-worker deques: a ParallelFor call
-// distributes its morsels in contiguous blocks across the workers' deques,
+// distributes its tasks in contiguous blocks across the workers' deques,
 // each worker pops its own deque LIFO (the block it was dealt, cache-warm)
 // and steals FIFO from a victim when its own deque runs dry (cold end of the
 // victim's block, classic Chase-Lev discipline with a small mutex per deque —
 // morsel tasks are tens of microseconds, so lock cost is noise).
 //
-// The scheduler is *shared*: many queries (and many node-pool workers inside
-// one query) may call ParallelFor concurrently; their morsels interleave on
-// one worker fleet instead of each query spawning its own pool. The calling
-// thread participates in its own job until no unclaimed morsels of that job
+// The scheduler is *shared*: many queries (and many node tasks inside one
+// query) may call ParallelFor concurrently; their tasks interleave on one
+// worker fleet instead of each query spawning its own pool. The calling
+// thread participates in its own job until no unclaimed tasks of that job
 // remain, so a query never fully blocks behind another query's backlog.
 #ifndef APQ_SCHED_MORSEL_SCHEDULER_H_
 #define APQ_SCHED_MORSEL_SCHEDULER_H_
@@ -45,7 +45,10 @@ struct MorselWorkerStats {
   uint64_t tasks = 0;   ///< morsel tasks this worker executed
   uint64_t steals = 0;  ///< of those, taken from another worker's deque
   uint64_t steal_fails = 0;  ///< own deque dry AND nothing to steal (went idle)
-  uint64_t busy_ns = 0;      ///< wall time spent executing tasks
+  /// Wall time spent executing tasks. A task's nested ParallelFor calls
+  /// are excluded: the tasks it runs there count as caller work
+  /// (caller_busy_ns), and its wait for other workers counts as idle.
+  uint64_t busy_ns = 0;
 };
 
 /// \brief One flight-recorder sample: a periodic snapshot of scheduler
@@ -61,12 +64,22 @@ struct MorselFlightSample {
 /// \brief Work-stealing morsel scheduler with per-worker deques.
 ///
 /// Thread-safe: ParallelFor may be called from any number of threads
-/// concurrently (multi-query sharing). Tasks must not call ParallelFor on the
-/// same scheduler (no nesting; the evaluator never does).
+/// concurrently (multi-query sharing), and from inside a task: the
+/// evaluator's plan-node tasks submit their operators' morsel jobs. Nesting
+/// cannot deadlock because a caller only claims tasks of its own job while
+/// it waits (so each task it waits for is either claimable by itself or
+/// already running on another thread) and the inner (morsel) tasks never
+/// wait.
 class MorselScheduler {
  public:
-  /// Spawns `num_workers` workers; 0 = one per hardware thread.
+  /// Spawns `num_workers` workers; 0 = DefaultWorkers().
   explicit MorselScheduler(int num_workers = 0);
+
+  /// One worker per hardware thread (1 when the count is unknown).
+  static int DefaultWorkers() {
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw == 0 ? 1 : static_cast<int>(hw);
+  }
 
   /// Joins all workers. All ParallelFor calls must have returned.
   ~MorselScheduler();
@@ -81,8 +94,15 @@ class MorselScheduler {
   /// is the executing worker id, or kCallerWorker when the submitting thread
   /// ran the task itself. Task order is unspecified; callers must make
   /// results order-independent (index into a fragment array).
+  ///
+  /// Each task's duration and queue wait are billed to the submitting
+  /// thread's query and operator block (obs/resource_tracker.h) unless
+  /// `bill` is false: tasks that only host billed work (a plan-node task,
+  /// whose operator bills its own time and morsels) must not be billed
+  /// again, or a query's cpu_ns would exceed the sum of its operators'.
   void ParallelFor(size_t num_tasks,
-                   const std::function<void(size_t, int)>& fn);
+                   const std::function<void(size_t, int)>& fn,
+                   bool bill = true);
 
   /// Worker id reported for tasks the submitting thread executed.
   static constexpr int kCallerWorker = -1;
@@ -139,8 +159,9 @@ class MorselScheduler {
   bool StealAny(int w, Task* out, int* victim = nullptr);
   bool PopForJob(Job* job, Task* out);
   /// Runs the task (with the owning query's id + operator block installed),
-  /// bills its duration/queue-wait, and returns the execution time in ns so
-  /// the claiming side can accumulate busy time.
+  /// bills its duration/queue-wait, and returns the execution time in ns,
+  /// less the time spent in the task's own nested ParallelFor calls, so the
+  /// claiming side accumulates every task's work exactly once.
   static double RunTask(const Task& t, int worker);
   void MaybeSampleFlight();
 

@@ -180,8 +180,9 @@ TEST_F(KernelsTest, GatherRowsRejectsOutOfColumnIds) {
   std::vector<oid> head;
   ValueVec values;
   values.type = DataType::kFloat64;
-  Status st = GatherRows(*floats_, ids, floats_->full_range(), false,
-                         AlignPolicy::kAdjust, &head, &values);
+  Status st = GatherRowsSpan(*floats_, ids.data(), ids.size(),
+                             floats_->full_range(), false,
+                             AlignPolicy::kAdjust, &head, &values);
   EXPECT_EQ(st.code(), StatusCode::kMisaligned);
   EXPECT_NE(st.message().find(std::to_string(kRows + 7)), std::string::npos);
 }

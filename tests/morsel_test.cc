@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <thread>
 
 #include "exec/compare.h"
@@ -13,6 +14,7 @@
 #include "exec/morsel_source.h"
 #include "plan/builder.h"
 #include "sched/morsel_scheduler.h"
+#include "util/hash_clock.h"
 #include "util/rng.h"
 #include "workload/tpch.h"
 
@@ -110,6 +112,71 @@ TEST(MorselSchedulerTest, ConcurrentJobsShareOneFleet) {
     }
   }
   EXPECT_EQ(sched.total_tasks(), static_cast<uint64_t>(kJobs) * kTasks);
+}
+
+TEST(MorselSchedulerTest, NestedParallelForFinishesAndRunsEachIndexOnce) {
+  // The evaluator's shape: an outer job whose tasks (plan nodes) each submit
+  // an inner job (their morsels) to the same fleet, from several concurrent
+  // callers (queries). Every inner index must run exactly once, and nothing
+  // may deadlock even when the fleet has a single worker.
+  constexpr size_t kCallers = 4, kOuter = 8, kInner = 64;
+  for (int workers : {1, 4}) {
+    MorselScheduler sched(workers);
+    std::vector<std::atomic<int>> hits(kCallers * kOuter * kInner);
+    for (auto& h : hits) h.store(0);
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&sched, &hits, c] {
+        sched.ParallelFor(
+            kOuter,
+            [&sched, &hits, c](size_t o, int) {
+              sched.ParallelFor(kInner, [&hits, c, o](size_t i, int) {
+                hits[(c * kOuter + o) * kInner + i].fetch_add(1);
+              });
+            },
+            /*bill=*/false);
+      });
+    }
+    for (auto& t : callers) t.join();
+    for (size_t i = 0; i < hits.size(); ++i) {
+      EXPECT_EQ(hits[i].load(), 1) << "workers=" << workers << " index " << i;
+    }
+    EXPECT_EQ(sched.total_tasks(), kCallers * kOuter * (1 + kInner));
+  }
+}
+
+TEST(MorselSchedulerTest, NestedJobsCountBusyTimeOnce) {
+  // A task that hosts a nested job must not count that job as its own busy
+  // time: the inner tasks are already counted where they ran, so workers'
+  // busy_ns plus caller_busy_ns equals the inner work, not inner work plus
+  // the outer task's wait for it.
+  MorselScheduler sched(2);
+  std::atomic<uint64_t> inner_ns{0};
+  sched.ParallelFor(
+      1,
+      [&sched, &inner_ns](size_t, int) {
+        sched.ParallelFor(4, [&inner_ns](size_t, int) {
+          const double t0 = NowNs();
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          inner_ns.fetch_add(static_cast<uint64_t>(NowNs() - t0));
+        });
+      },
+      /*bill=*/false);
+  // A worker adds its busy time just after its task signals completion, so
+  // wait (briefly) for the last increment to land.
+  auto total_busy = [&sched] {
+    uint64_t busy = sched.caller_busy_ns();
+    for (const auto& w : sched.worker_stats()) busy += w.busy_ns;
+    return busy;
+  };
+  for (int i = 0; i < 1000 && total_busy() < inner_ns.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t busy = total_busy();
+  EXPECT_GE(busy, inner_ns.load());
+  // The nested job's wall time is at least one 20 ms task; counting it twice
+  // would overshoot by that much.
+  EXPECT_LT(busy, inner_ns.load() + 15'000'000);
 }
 
 TEST(MorselSchedulerTest, WorkerStatsAccountForAllTasks) {

@@ -1,9 +1,11 @@
-// Thread-pool execution of exchange-parallelized plans: threaded runs must
-// reproduce serial results exactly (same intermediates, same metrics order),
-// and errors must propagate cleanly out of worker threads.
+// Fleet execution of exchange-parallelized plans: each dataflow level of
+// clones runs as one MorselScheduler job, and must reproduce inline
+// execution exactly (same intermediates, same metrics order) at every
+// worker count; errors must come back deterministic from worker threads.
 #include <gtest/gtest.h>
 
-#include <atomic>
+#include <algorithm>
+#include <cstring>
 #include <thread>
 
 #include "adaptive/mutator.h"
@@ -12,71 +14,44 @@
 #include "exec/evaluator.h"
 #include "heuristic/parallelizer.h"
 #include "plan/builder.h"
-#include "sched/thread_pool.h"
 #include "workload/tpch.h"
 
 namespace apq {
 namespace {
 
-TEST(ThreadPoolTest, RunsAllSubmittedTasks) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.num_threads(), 4);
-  std::atomic<int> count{0};
-  std::atomic<int> remaining{100};
-  std::mutex mu;
-  std::condition_variable cv;
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&] {
-      count.fetch_add(1);
-      if (remaining.fetch_sub(1) == 1) {
-        std::lock_guard<std::mutex> lock(mu);
-        cv.notify_all();
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
-  EXPECT_EQ(count.load(), 100);
+// Vector equality with doubles compared by bit pattern.
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-TEST(ThreadPoolTest, TasksMaySubmitTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  std::atomic<int> remaining{10};
-  std::mutex mu;
-  std::condition_variable cv;
-  // Notify under the lock: the waiter destroys cv right after the predicate
-  // holds, so an unlocked notify races with both the re-block and teardown.
-  auto finish_one = [&] {
-    if (remaining.fetch_sub(1) == 1) {
-      std::lock_guard<std::mutex> lock(mu);
-      cv.notify_all();
-    }
-  };
-  for (int i = 0; i < 5; ++i) {
-    pool.Submit([&] {
-      count.fetch_add(1);
-      pool.Submit([&] {
-        count.fetch_add(1);
-        finish_one();
-      });
-      finish_one();
-    });
+// Every member of two intermediates, bit for bit.
+std::string BitDiff(const Intermediate& a, const Intermediate& b) {
+  if (a.kind != b.kind) return "kind";
+  if (a.rowids != b.rowids) return "rowids";
+  if (a.rrowids != b.rrowids) return "rrowids";
+  if (a.head != b.head) return "head";
+  if (a.values.i64 != b.values.i64 || !SameBits(a.values.f64, b.values.f64)) {
+    return "values";
   }
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return remaining.load() == 0; });
-  EXPECT_EQ(count.load(), 10);
+  if (a.group_ids != b.group_ids) return "group_ids";
+  if (a.group_keys.i64 != b.group_keys.i64 ||
+      !SameBits(a.group_keys.f64, b.group_keys.f64)) {
+    return "group_keys";
+  }
+  if (!SameBits(a.agg_vals, b.agg_vals)) return "agg_vals";
+  if (a.agg_counts != b.agg_counts) return "agg_counts";
+  if (std::memcmp(&a.scalar, &b.scalar, sizeof(double)) != 0) return "scalar";
+  if (a.scalar_count != b.scalar_count) return "scalar_count";
+  return "";
 }
 
-TEST(ThreadPoolTest, DrainsPendingTasksOnDestruction) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&] { count.fetch_add(1); });
-    }
-  }
-  EXPECT_EQ(count.load(), 50);
+ExecOptions FleetOptions(int workers) {
+  ExecOptions o;
+  o.use_morsels = true;
+  o.morsel_workers = workers;
+  return o;
 }
 
 class ParallelExecTest : public ::testing::Test {
@@ -87,31 +62,35 @@ class ParallelExecTest : public ::testing::Test {
     cat_ = Tpch::Generate(cfg);
   }
 
-  // Executes `plan` serially and with a 4-worker pool; both must succeed and
-  // agree on every reachable intermediate and on the metrics order.
+  // Executes `plan` inline and on fleets of 1, 2, 4 and 8 workers; all must
+  // succeed, agree bit for bit on every reachable intermediate, and return
+  // metrics in the same (topological) order.
   void ExpectThreadedMatchesSerial(const QueryPlan& plan) {
-    Evaluator serial(ExecOptions{true, 1});
-    Evaluator threaded(ExecOptions{true, 4});
-    EvalResult a, b;
+    Evaluator serial;
+    EvalResult a;
     ASSERT_TRUE(serial.Execute(plan, &a).ok());
-    ASSERT_TRUE(threaded.Execute(plan, &b).ok());
-    EXPECT_EQ(DiffIntermediates(a.result, b.result), "");
-    ASSERT_EQ(a.intermediates.size(), b.intermediates.size());
-    for (const auto& [id, inter] : a.intermediates) {
-      ASSERT_TRUE(b.intermediates.count(id));
-      EXPECT_EQ(DiffIntermediates(inter, b.intermediates.at(id)), "")
-          << "node " << id;
-    }
-    // Metrics come back in topological order regardless of which worker ran
-    // which node (the simulator depends on this ordering).
-    ASSERT_EQ(a.metrics.size(), b.metrics.size());
-    for (size_t i = 0; i < a.metrics.size(); ++i) {
-      EXPECT_EQ(a.metrics[i].node_id, b.metrics[i].node_id) << i;
-      EXPECT_EQ(a.metrics[i].tuples_out, b.metrics[i].tuples_out) << i;
-      // Hash-build cost lands on the topologically-first join regardless of
-      // which worker raced to build (both evaluators are cold here).
-      EXPECT_EQ(a.metrics[i].hash_build_rows, b.metrics[i].hash_build_rows)
-          << i;
+    for (int workers : {1, 2, 4, 8}) {
+      Evaluator threaded(FleetOptions(workers));
+      EvalResult b;
+      ASSERT_TRUE(threaded.Execute(plan, &b).ok()) << workers;
+      EXPECT_EQ(BitDiff(a.result, b.result), "") << workers;
+      ASSERT_EQ(a.intermediates.size(), b.intermediates.size());
+      for (const auto& [id, inter] : a.intermediates) {
+        ASSERT_TRUE(b.intermediates.count(id));
+        EXPECT_EQ(BitDiff(inter, b.intermediates.at(id)), "")
+            << "node " << id << " workers " << workers;
+      }
+      // Metrics come back in topological order regardless of which worker
+      // ran which node (the simulator depends on this ordering).
+      ASSERT_EQ(a.metrics.size(), b.metrics.size());
+      for (size_t i = 0; i < a.metrics.size(); ++i) {
+        EXPECT_EQ(a.metrics[i].node_id, b.metrics[i].node_id) << i;
+        EXPECT_EQ(a.metrics[i].tuples_out, b.metrics[i].tuples_out) << i;
+        // Hash-build cost lands on the topologically-first join regardless
+        // of which worker raced to build (both evaluators are cold here).
+        EXPECT_EQ(a.metrics[i].hash_build_rows, b.metrics[i].hash_build_rows)
+            << i;
+      }
     }
   }
 
@@ -136,7 +115,7 @@ TEST_F(ParallelExecTest, MutatedExchangePlanReproducesSerialResult) {
   ASSERT_TRUE(q6.ok());
   QueryPlan plan = q6.MoveValueOrDie();
   // Split the leaf select 4 ways: the clones are independent subtrees feeding
-  // one exchange union, exactly the concurrency the pool exploits.
+  // one exchange union, exactly the concurrency the fleet exploits.
   Mutator mutator;
   int sel = -1;
   for (int i = 0; i < plan.num_nodes(); ++i) {
@@ -154,33 +133,167 @@ TEST_F(ParallelExecTest, ThreadedExecutionIsDeterministicAcrossRuns) {
   HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
   auto plan = hp.Parallelize(q14.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-  Evaluator threaded(ExecOptions{true, 4});
+  Evaluator threaded(FleetOptions(4));
   EvalResult first;
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &first).ok());
   for (int rep = 0; rep < 5; ++rep) {
     EvalResult again;
     ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &again).ok());
-    EXPECT_EQ(DiffIntermediates(first.result, again.result), "") << rep;
+    EXPECT_EQ(BitDiff(first.result, again.result), "") << rep;
   }
 }
 
 TEST_F(ParallelExecTest, ErrorsPropagateFromWorkerThreads) {
-  auto ints = Column::MakeInt64("ints", {1, 2, 3, 4});
+  // Both plans split their select into exchange clones, so the failing run
+  // and the recovery run each execute their clone level as one fleet job.
+  std::vector<int64_t> iv(1024);
+  for (size_t i = 0; i < iv.size(); ++i) iv[i] = static_cast<int64_t>(i) + 1;
+  auto ints = Column::MakeInt64("ints", std::move(iv));
+  Mutator mutator;
   PlanBuilder b("bad");
   int sel = b.Select(ints.get(), Predicate::Like("x"));  // LIKE on non-string
   QueryPlan plan = b.Result(sel);
-  Evaluator threaded(ExecOptions{true, 4});
+  ASSERT_TRUE(mutator.SplitNode(&plan, sel, 2).ok());
+  Evaluator threaded(FleetOptions(4));
+  const std::shared_ptr<MorselScheduler>& fleet =
+      threaded.EnsureMorselScheduler();
+  uint64_t before = fleet->total_tasks();
   EvalResult er;
   Status st = threaded.Execute(plan, &er);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  // The evaluator must remain usable after a failed parallel run.
+  EXPECT_GT(fleet->total_tasks(), before);
+  // The evaluator must remain usable after a failed fleet level.
   PlanBuilder b2("good");
-  int sel2 = b2.Select(ints.get(), Predicate::RangeI64(2, 3));
+  int sel2 = b2.Select(ints.get(), Predicate::RangeI64(512, 513));
   QueryPlan plan2 = b2.Result(sel2);
+  ASSERT_TRUE(mutator.SplitNode(&plan2, sel2, 2).ok());
+  before = fleet->total_tasks();
   EvalResult er2;
   ASSERT_TRUE(threaded.Execute(plan2, &er2).ok());
-  EXPECT_EQ(er2.result.rowids, (std::vector<oid>{1, 2}));
+  EXPECT_GT(fleet->total_tasks(), before);
+  // One match on each side of the 512-row clone boundary.
+  EXPECT_EQ(er2.result.rowids, (std::vector<oid>{511, 512}));
+}
+
+TEST_F(ParallelExecTest, FailingClonesReturnTheSameErrorEveryRun) {
+  // Every fetch-join clone gets an empty strict slice, so each one fails on
+  // its own first candidate: the clones of one level fail with different
+  // messages, and the level must report its lowest topological failure on
+  // every run. All failures share one level here, so that is also the error
+  // inline execution stops at.
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  HeuristicParallelizer hp(HeuristicConfig{.dop = 4});
+  auto parallel = hp.Parallelize(q6.ValueOrDie());
+  ASSERT_TRUE(parallel.ok());
+  QueryPlan plan = parallel.MoveValueOrDie();
+  int clones = 0;
+  for (int i = 0; i < plan.num_nodes(); ++i) {
+    PlanNode& node = plan.node(i);
+    if (node.kind != OpKind::kFetchJoin) continue;
+    node.has_slice = true;
+    node.slice = RowRange{0, 0};
+    node.align = AlignPolicy::kStrict;
+    ++clones;
+  }
+  ASSERT_GE(clones, 2);
+
+  Evaluator serial;
+  EvalResult er;
+  const Status want = serial.Execute(plan, &er);
+  ASSERT_EQ(want.code(), StatusCode::kMisaligned);
+  for (int workers : {1, 4}) {
+    Evaluator threaded(FleetOptions(workers));
+    for (int rep = 0; rep < 10; ++rep) {
+      const Status st = threaded.Execute(plan, &er);
+      EXPECT_EQ(st.code(), want.code()) << workers << " rep " << rep;
+      EXPECT_EQ(st.message(), want.message()) << workers << " rep " << rep;
+    }
+  }
+}
+
+TEST_F(ParallelExecTest, FailuresOnTwoLevelsReturnTheFirstFailingLevel) {
+  // Clone chains interleave in topological order, so a fetch clone (level 1)
+  // can come before another chain's leaf select (level 0). With both failing,
+  // inline execution stops at the fetch, while the fleet stops after level 0
+  // and returns the select's error — on every run and at every worker count.
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  HeuristicParallelizer hp(HeuristicConfig{.dop = 4});
+  auto parallel = hp.Parallelize(q6.ValueOrDie());
+  ASSERT_TRUE(parallel.ok());
+  QueryPlan plan = parallel.MoveValueOrDie();
+  auto order_or = plan.TopologicalOrder();
+  ASSERT_TRUE(order_or.ok());
+  const std::vector<int>& order = order_or.ValueOrDie();
+  std::vector<size_t> level(plan.num_nodes(), 0);
+  for (int id : order) {
+    for (int in : plan.node(id).inputs) {
+      level[id] = std::max(level[id], level[in] + 1);
+    }
+  }
+  int fetch = -1, select = -1;
+  for (int id : order) {
+    const PlanNode& node = plan.node(id);
+    if (fetch < 0 && node.kind == OpKind::kFetchJoin) {
+      fetch = id;
+    } else if (fetch >= 0 && node.kind == OpKind::kSelect &&
+               level[id] < level[fetch]) {
+      select = id;
+      break;
+    }
+  }
+  ASSERT_GE(fetch, 0);
+  ASSERT_GE(select, 0);
+  plan.node(fetch).has_slice = true;
+  plan.node(fetch).slice = RowRange{0, 0};
+  plan.node(fetch).align = AlignPolicy::kStrict;
+  plan.node(select).pred = Predicate::Like("x");  // LIKE on non-string
+
+  Evaluator serial;
+  EvalResult er;
+  const Status inline_st = serial.Execute(plan, &er);
+  // APQ_FORCE_MORSELS gives even a default evaluator a fleet, and then it
+  // runs the levels too.
+  if (!serial.MorselsEnabled()) {
+    EXPECT_EQ(inline_st.code(), StatusCode::kMisaligned);
+  }
+  for (int workers : {1, 4}) {
+    Evaluator threaded(FleetOptions(workers));
+    for (int rep = 0; rep < 5; ++rep) {
+      EXPECT_EQ(threaded.Execute(plan, &er).code(),
+                StatusCode::kInvalidArgument)
+          << workers << " rep " << rep;
+    }
+  }
+}
+
+TEST_F(ParallelExecTest, OnlyPlansWithAnExchangeUnionRunNodesOnTheFleet) {
+  // The level rule: a serial plan runs inline, so when each of its
+  // operators fits one morsel the fleet runs no task at all; the same
+  // query's dop-8 heuristic plan runs its clone levels as fleet tasks.
+  auto q9 = Tpch::Query(*cat_, "Q9");
+  ASSERT_TRUE(q9.ok());
+  HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
+  auto parallel = hp.Parallelize(q9.ValueOrDie());
+  ASSERT_TRUE(parallel.ok());
+
+  ExecOptions o = FleetOptions(4);
+  o.morsel_rows = uint64_t{1} << 20;  // far above any operator's input
+  Evaluator eval(o);
+  const std::shared_ptr<MorselScheduler>& fleet = eval.EnsureMorselScheduler();
+  EvalResult er;
+  uint64_t before = fleet->total_tasks();
+  ASSERT_TRUE(eval.Execute(q9.ValueOrDie(), &er).ok());
+  // APQ_FORCE_MORSELS with a row count overrides the morsel size, and then
+  // the serial plan's operators split into morsel tasks.
+  if (eval.EffectiveMorselRows() == o.morsel_rows) {
+    EXPECT_EQ(fleet->total_tasks(), before);
+  }
+  before = fleet->total_tasks();
+  ASSERT_TRUE(eval.Execute(parallel.ValueOrDie(), &er).ok());
+  EXPECT_GT(fleet->total_tasks(), before);
 }
 
 TEST_F(ParallelExecTest, SharedHashCacheBuildsOnce) {
@@ -189,7 +302,7 @@ TEST_F(ParallelExecTest, SharedHashCacheBuildsOnce) {
   HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
   auto plan = hp.Parallelize(q9.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-  Evaluator threaded(ExecOptions{true, 4});
+  Evaluator threaded(FleetOptions(4));
   EvalResult er1, er2;
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er1).ok());
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er2).ok());
@@ -232,29 +345,26 @@ TEST_F(ParallelExecTest, MorselExecutionIsDeterministicAcrossWorkerCounts) {
   }
 }
 
-TEST_F(ParallelExecTest, MorselsComposeWithNodePoolExecution) {
-  // Both parallelism axes at once: exchange clones on the node pool, each
-  // clone's scan split into morsels on the shared morsel scheduler.
+TEST_F(ParallelExecTest, MorselsComposeWithCloneLevels) {
+  // Both parallelism axes on one fleet: exchange clones as level tasks, each
+  // clone's scan split into morsels that the same fleet runs.
   auto q6 = Tpch::Q6(*cat_);
   ASSERT_TRUE(q6.ok());
   HeuristicParallelizer hp(HeuristicConfig{.dop = 4});
   auto plan = hp.Parallelize(q6.ValueOrDie());
   ASSERT_TRUE(plan.ok());
 
-  Evaluator serial(ExecOptions{true, 1});
+  Evaluator serial;
   EvalResult base;
   ASSERT_TRUE(serial.Execute(plan.ValueOrDie(), &base).ok());
 
-  ExecOptions o;
-  o.num_threads = 4;
-  o.use_morsels = true;
+  ExecOptions o = FleetOptions(4);
   o.morsel_rows = 256;
-  o.morsel_workers = 4;
   Evaluator both(o);
   for (int rep = 0; rep < 3; ++rep) {
     EvalResult got;
     ASSERT_TRUE(both.Execute(plan.ValueOrDie(), &got).ok()) << rep;
-    EXPECT_EQ(DiffIntermediates(base.result, got.result), "") << rep;
+    EXPECT_EQ(BitDiff(base.result, got.result), "") << rep;
   }
 }
 
@@ -298,10 +408,11 @@ TEST_F(ParallelExecTest, ConcurrentQueriesMultiplexOneScheduler) {
 }
 
 TEST_F(ParallelExecTest, ConcurrentFirstBuildsOfDifferentInnersDontSerialize) {
-  // The per-column build latch: one plan with two joins over *different*
-  // inner columns, executed on the node pool — the two first builds run
-  // concurrently (previously serialized under the single cache mutex). Each
-  // inner is built exactly once and the cache stays warm afterwards.
+  // The per-column build latch: two joins over *different* inner columns,
+  // parallelized so their clones share one dataflow level on the fleet — the
+  // two first builds run concurrently, while clones of the same join race
+  // for one build. Each inner is built exactly once and the cache stays warm
+  // afterwards.
   auto fk1 = Column::MakeInt64("fk1", std::vector<int64_t>(4000, 1));
   auto fk2 = Column::MakeInt64("fk2", std::vector<int64_t>(4000, 2));
   std::vector<int64_t> pk1v(512), pk2v(1024);
@@ -316,17 +427,19 @@ TEST_F(ParallelExecTest, ConcurrentFirstBuildsOfDifferentInnersDontSerialize) {
   int c1 = b.AggScalar(AggFn::kCount, j1);
   int c2 = b.AggScalar(AggFn::kCount, j2);
   int sum = b.Map2(MapFn::kAdd, c1, c2);
-  QueryPlan plan = b.Result(sum);
+  HeuristicParallelizer hp(HeuristicConfig{.dop = 4});
+  auto plan = hp.Parallelize(b.Result(sum));
+  ASSERT_TRUE(plan.ok());
 
-  Evaluator threaded(ExecOptions{true, 4});
+  Evaluator threaded(FleetOptions(4));
   EvalResult er;
-  ASSERT_TRUE(threaded.Execute(plan, &er).ok());
+  ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er).ok());
   EXPECT_DOUBLE_EQ(er.result.scalar, 8000.0);
   uint64_t builds = 0;
   for (const auto& m : er.metrics) builds += m.hash_build_rows;
   EXPECT_EQ(builds, 512u + 1024u);  // both inners built, each exactly once
   EvalResult warm;
-  ASSERT_TRUE(threaded.Execute(plan, &warm).ok());
+  ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &warm).ok());
   uint64_t warm_builds = 0;
   for (const auto& m : warm.metrics) warm_builds += m.hash_build_rows;
   EXPECT_EQ(warm_builds, 0u);
@@ -350,7 +463,6 @@ TEST_F(ParallelExecTest, ParallelAggProbeCoversTpchAcrossWorkerCounts) {
       o.use_morsels = true;
       o.morsel_rows = 256;
       o.morsel_workers = workers;
-      o.use_parallel_agg = true;
       Evaluator par(o);
       EvalResult got;
       ASSERT_TRUE(par.Execute(plan.ValueOrDie(), &got).ok())
@@ -371,9 +483,9 @@ TEST_F(ParallelExecTest, ParallelAggProbeCoversTpchAcrossWorkerCounts) {
   EXPECT_TRUE(saw_join) << "no TPC-H join probe ran morsel-parallel";
 }
 
-TEST_F(ParallelExecTest, ParallelAggComposesWithNodePoolExecution) {
-  // Exchange clones on the node pool while each clone's probe/ingest splits
-  // on the shared morsel scheduler — Q9 (join + group-by heavy) and Q14
+TEST_F(ParallelExecTest, ParallelAggComposesWithCloneLevels) {
+  // Exchange clones as level tasks while each clone's probe/ingest splits
+  // into morsels on the same fleet — Q9 (join + group-by heavy) and Q14
   // (join heavy) under both axes at once.
   for (const char* name : {"Q9", "Q14"}) {
     auto q = Tpch::Query(*cat_, name);
@@ -382,22 +494,18 @@ TEST_F(ParallelExecTest, ParallelAggComposesWithNodePoolExecution) {
     auto plan = hp.Parallelize(q.ValueOrDie());
     ASSERT_TRUE(plan.ok()) << name;
 
-    Evaluator serial(ExecOptions{true, 1});
+    Evaluator serial;
     EvalResult base;
     ASSERT_TRUE(serial.Execute(plan.ValueOrDie(), &base).ok()) << name;
 
-    ExecOptions o;
-    o.num_threads = 4;
-    o.use_morsels = true;
+    ExecOptions o = FleetOptions(4);
     o.morsel_rows = 256;
-    o.morsel_workers = 4;
-    o.use_parallel_agg = true;
     Evaluator both(o);
     for (int rep = 0; rep < 3; ++rep) {
       EvalResult got;
       ASSERT_TRUE(both.Execute(plan.ValueOrDie(), &got).ok())
           << name << " rep " << rep;
-      EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
+      EXPECT_EQ(BitDiff(base.result, got.result), "")
           << name << " rep " << rep;
     }
   }
@@ -421,7 +529,6 @@ TEST_F(ParallelExecTest, ParallelSortCoversOrderedTpchQueries) {
       o.use_morsels = true;
       o.morsel_rows = 4;  // splits even the 5-priority / 25-nation sorts
       o.morsel_workers = workers;
-      o.use_parallel_sort = true;
       Evaluator par(o);
       EvalResult got;
       ASSERT_TRUE(par.Execute(plan.ValueOrDie(), &got).ok())

@@ -353,7 +353,6 @@ class ParallelSortEvalTest : public ::testing::Test {
         o.use_morsels = true;
         o.morsel_rows = rows;
         o.morsel_workers = workers;
-        o.use_parallel_sort = true;
         EvalResult got = Run(plan, o);
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
             << "rows=" << rows << " workers=" << workers;
@@ -566,27 +565,6 @@ TEST_F(ParallelSortEvalTest, SlicedRowIdMorselCountsSumToSortedRows) {
     EXPECT_EQ(in, m.sort_rows);
     EXPECT_LT(m.sort_rows, m.tuples_in);  // clipping actually dropped rows
     EXPECT_EQ(out, m.tuples_out);
-  }
-}
-
-TEST_F(ParallelSortEvalTest, DisablingParallelSortKeepsSortWholeColumn) {
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  o.use_parallel_sort = false;
-  Evaluator eval(o);
-  // The env override forces the tier back on (that is its job in CI); the
-  // gating assertion below is only meaningful without it.
-  if (eval.ParallelSortEnabled()) GTEST_SKIP() << "APQ_FORCE_MORSELS is set";
-  EvalResult base = Run(ValuesSortPlan(false), ExecOptions{});
-  EvalResult er;
-  ASSERT_TRUE(eval.Execute(ValuesSortPlan(false), &er).ok());
-  EXPECT_EQ(DiffIntermediates(base.result, er.result), "");
-  for (const auto& m : er.metrics) {
-    if (m.kind == OpKind::kSort || m.kind == OpKind::kTopN) {
-      EXPECT_TRUE(m.morsels.empty()) << OpKindName(m.kind);
-    }
   }
 }
 

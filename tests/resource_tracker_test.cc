@@ -13,6 +13,7 @@
 #include "engine/engine.h"
 #include "exec/compare.h"
 #include "exec/evaluator.h"
+#include "heuristic/parallelizer.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
@@ -246,6 +247,44 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
       obs::FinishQuery(id);
       EXPECT_FALSE(obs::SnapshotQueryResources(id, &qr));
     }
+  }
+}
+
+// A heuristic plan's clone levels run as fleet tasks that host operators.
+// Those node tasks must bill nothing themselves: the query's CPU is exactly
+// the sum of its operators' CPU, and every durable charge is returned.
+TEST(ResourceTrackerTest, CloneLevelsOnTheFleetBillOnlyTheirOperators) {
+  AccountingGuard guard;
+  obs::SetAccountingEnabled(true);
+  TpchConfig cfg;
+  cfg.lineitem_rows = 6000;
+  auto cat = Tpch::Generate(cfg);
+  auto q9 = Tpch::Query(*cat, "Q9");
+  ASSERT_TRUE(q9.ok());
+  HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
+  auto plan = hp.Parallelize(q9.ValueOrDie());
+  ASSERT_TRUE(plan.ok());
+
+  ExecOptions o;
+  o.use_morsels = true;
+  o.morsel_rows = 512;
+  o.morsel_workers = 4;
+  Evaluator ev(o);
+  for (int rep = 0; rep < 3; ++rep) {
+    const uint64_t id = obs::NextQueryId();
+    EvalResult er;
+    {
+      obs::QueryIdScope qid(id);
+      ASSERT_TRUE(ev.Execute(plan.ValueOrDie(), &er).ok()) << rep;
+    }
+    obs::QueryResources qr;
+    ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr)) << rep;
+    EXPECT_EQ(qr.cur_bytes, 0u) << rep << " (charge drift!)";
+    uint64_t op_cpu = 0;
+    for (const auto& m : er.metrics) op_cpu += m.cpu_ns;
+    EXPECT_GT(op_cpu, 0u) << rep;
+    EXPECT_EQ(qr.cpu_ns, op_cpu) << rep;
+    obs::FinishQuery(id);
   }
 }
 

@@ -464,12 +464,10 @@ TEST(QueryServiceTest, DebugJsonCarriesAdmissionState) {
 TEST(QueryServiceTest, ServedResultsAreBitIdenticalToDirectExecution) {
   auto catalog = TestCatalog();
 
-  // Direct reference: a plain morsel engine with its own fleet.
+  // Direct reference: a default engine, no fleet.
   std::map<std::string, std::string> reference;
   {
-    EngineConfig cfg;
-    cfg.use_morsels = true;
-    Engine engine(cfg);
+    Engine engine;
     for (const std::string& name : Tpch::QueryNames()) {
       auto plan = Tpch::Query(*catalog, name);
       ASSERT_TRUE(plan.ok());
@@ -479,41 +477,49 @@ TEST(QueryServiceTest, ServedResultsAreBitIdenticalToDirectExecution) {
     }
   }
 
-  for (const int workers : {1, 2, 4, 8}) {
-    QueryService svc;
-    ServiceConfig cfg;
-    cfg.max_concurrent = 2;
-    cfg.morsel_workers = workers;
-    ASSERT_TRUE(svc.Start(catalog, cfg).ok());
-    Client c(svc.port());
-    ASSERT_TRUE(c.connected());
-    std::string burst;
-    const auto names = Tpch::QueryNames();
-    for (size_t i = 0; i < names.size(); ++i) {
-      burst += "RUN " + names[i] + " tag=" + std::to_string(i + 1) + "\n";
+  // Morsel size and fleet width never change the bytes a client gets
+  // (0 = the default morsel size; smaller sizes split the 20K-row scans and
+  // the grouped aggregations).
+  for (const uint64_t morsel_rows : {uint64_t{0}, uint64_t{1024},
+                                     uint64_t{4096}, uint64_t{16384}}) {
+    for (const int workers : {1, 2, 4, 8}) {
+      QueryService svc;
+      ServiceConfig cfg;
+      cfg.max_concurrent = 2;
+      cfg.morsel_workers = workers;
+      cfg.morsel_rows = morsel_rows;
+      ASSERT_TRUE(svc.Start(catalog, cfg).ok());
+      Client c(svc.port());
+      ASSERT_TRUE(c.connected());
+      std::string burst;
+      const auto names = Tpch::QueryNames();
+      for (size_t i = 0; i < names.size(); ++i) {
+        burst += "RUN " + names[i] + " tag=" + std::to_string(i + 1) + "\n";
+      }
+      c.Send(burst);
+      const auto blocks =
+          SplitBlocks(c.ReadResponses(static_cast<int>(names.size())));
+      ASSERT_EQ(blocks.size(), names.size());
+      for (const std::string& block : blocks) {
+        const std::string header = Header(block);
+        ASSERT_EQ(header.rfind("OK id=", 0), 0u) << header;
+        // Recover which query this is from the echoed tag.
+        const size_t tp = header.find(" tag=");
+        const size_t tag = std::stoull(header.substr(tp + 5));
+        ASSERT_GE(tag, 1u);
+        ASSERT_LE(tag, names.size());
+        // Body (ROW lines between header and END) must match the direct
+        // serialization byte for byte.
+        const size_t body_start = block.find('\n') + 1;
+        const size_t body_end = block.rfind("END\n");
+        const std::string body =
+            block.substr(body_start, body_end - body_start);
+        EXPECT_EQ(body, reference[names[tag - 1]])
+            << names[tag - 1] << " at morsel_rows=" << morsel_rows << ", "
+            << workers << " workers";
+      }
+      svc.Stop();
     }
-    c.Send(burst);
-    const auto blocks = SplitBlocks(c.ReadResponses(static_cast<int>(
-        names.size())));
-    ASSERT_EQ(blocks.size(), names.size());
-    for (const std::string& block : blocks) {
-      const std::string header = Header(block);
-      ASSERT_EQ(header.rfind("OK id=", 0), 0u) << header;
-      // Recover which query this is from the echoed tag.
-      const size_t tp = header.find(" tag=");
-      const size_t tag = std::stoull(header.substr(tp + 5));
-      ASSERT_GE(tag, 1u);
-      ASSERT_LE(tag, names.size());
-      // Body (ROW lines between header and END) must match the direct
-      // serialization byte for byte.
-      const size_t body_start = block.find('\n') + 1;
-      const size_t body_end = block.rfind("END\n");
-      const std::string body =
-          block.substr(body_start, body_end - body_start);
-      EXPECT_EQ(body, reference[names[tag - 1]])
-          << names[tag - 1] << " at " << workers << " workers";
-    }
-    svc.Stop();
   }
 }
 
