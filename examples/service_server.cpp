@@ -14,12 +14,12 @@
 // (docs/reference.md has the full knob inventory).
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 
 #include <unistd.h>
 
 #include "obs/trace.h"
 #include "service/query_service.h"
+#include "util/env.h"
 #include "workload/tpch.h"
 
 using namespace apq;
@@ -33,8 +33,10 @@ int main(int argc, char** argv) {
   obs::InitFromEnv();
 
   service::ServiceConfig cfg = service::ServiceConfig::FromEnv();
-  cfg.port = argc > 1 ? std::atoi(argv[1]) : service::ServiceEnvPort();
-  if (cfg.port <= 0 || cfg.port > 65535) {
+  uint64_t port = static_cast<uint64_t>(cfg.port);
+  if (argc > 1 && !ParseDecimal(argv[1], 1, 65535, &port)) port = 0;
+  cfg.port = static_cast<int>(port);
+  if (cfg.port == 0) {
     std::fprintf(stderr,
                  "usage: %s <port>   (or set APQ_SERVICE_PORT)\n", argv[0]);
     return 2;

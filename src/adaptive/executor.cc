@@ -94,30 +94,10 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
 
     // Simulate this run on the virtual machine, alongside any background
     // workload (instance 0 is this query).
-    std::vector<SimTask> tasks =
-        BuildSimTasks(plan, er.metrics, cost_model_, /*instance=*/0);
-    size_t own_tasks = tasks.size();
-    for (SimTask t : background) {
-      // Background deps are indices within the background vector; shift them.
-      for (int& d : t.deps) d += static_cast<int>(own_tasks);
-      if (t.instance == 0) t.instance = 1;
-      tasks.push_back(std::move(t));
-    }
-    SimOutcome sim = simulator_.Run(tasks, /*run_seed_salt=*/run + 1);
-    double time = sim.instance_response_ns[0];
-    std::vector<SimTaskTiming> own_timings(sim.timings.begin(),
-                                           sim.timings.begin() + own_tasks);
-    RunProfile profile = MakeRunProfile(plan, er.metrics, cost_model_,
-                                        own_timings, sim.makespan_ns,
-                                        sim.utilization);
-    // Utilization of this query's own operators against its own span.
-    if (time > 0) {
-      double busy = 0;
-      for (const auto& op : profile.ops) busy += op.duration_ns();
-      profile.utilization =
-          busy / (time * simulator_.config().logical_cores);
-      profile.makespan_ns = time;
-    }
+    SimulatedRun sim = SimulateRun(plan, er.metrics, cost_model_, simulator_,
+                                   background, /*seed_salt=*/run + 1);
+    const double time = sim.time_ns;
+    RunProfile& profile = sim.profile;
 
     plan_history.push_back(plan.Clone());
     // History keeps the scalar per-op skew fields but not the raw morsel

@@ -1,8 +1,5 @@
 #include "engine/engine.h"
 
-#include <cstdio>
-
-#include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
@@ -72,48 +69,20 @@ void SnapshotResources(uint64_t qid, const Evaluator& evaluator,
 
 }  // namespace
 
-void Engine::StartIntrospection(int port) {
-  Status st = obs::HttpExporter::Global().Start(port);
-  if (!st.ok()) {
-    std::fprintf(stderr,
-                 "apq: EngineConfig::http_port introspection endpoint failed "
-                 "to start: %s; introspection stays off\n",
-                 st.ToString().c_str());
-  }
-}
-
 StatusOr<QueryRunResult> Engine::RunPlanInner(
     const QueryPlan& plan, const std::vector<SimTask>& background,
     uint64_t seed_salt) {
   EvalResult er;
   APQ_RETURN_NOT_OK(evaluator_.Execute(plan, &er));
-  std::vector<SimTask> tasks =
-      BuildSimTasks(plan, er.metrics, cost_model_, /*instance=*/0);
-  size_t own = tasks.size();
-  for (SimTask t : background) {
-    for (int& d : t.deps) d += static_cast<int>(own);
-    if (t.instance == 0) t.instance = 1;
-    tasks.push_back(std::move(t));
-  }
-  SimOutcome sim = simulator_.Run(tasks, seed_salt);
-
+  SimulatedRun sim = SimulateRun(plan, er.metrics, cost_model_, simulator_,
+                                 background, seed_salt);
   QueryRunResult out;
-  out.time_ns = sim.instance_response_ns[0];
+  out.time_ns = sim.time_ns;
   out.wall_ns = er.wall_ns;
+  out.utilization = sim.profile.utilization;
   out.result = er.result;
   out.stats = plan.Stats();
-  std::vector<SimTaskTiming> own_timings(sim.timings.begin(),
-                                         sim.timings.begin() + own);
-  out.profile = MakeRunProfile(plan, er.metrics, cost_model_, own_timings,
-                               sim.makespan_ns, sim.utilization);
-  // Utilization of this query against its own span.
-  double busy = 0;
-  for (const auto& op : out.profile.ops) busy += op.duration_ns();
-  if (out.time_ns > 0) {
-    out.utilization = busy / (out.time_ns * config_.sim.logical_cores);
-  }
-  out.profile.utilization = out.utilization;
-  out.profile.makespan_ns = out.time_ns;
+  out.profile = std::move(sim.profile);
   return out;
 }
 

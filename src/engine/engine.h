@@ -26,29 +26,15 @@ struct EngineConfig {
   MutatorConfig mutator;
   int hp_dop = 32;                 // heuristic parallelizer default DOP
   bool verify_results = false;     // cross-check every adaptive run
-  /// Real execution backend (see ExecOptions): vectorized kernels, and the
-  /// thread fleet that runs operator morsels and exchange clone levels.
-  /// Simulated timings are unaffected; wall_ns fields report hardware truth.
-  bool use_kernels = true;
+  /// Real execution backend (see ExecOptions): the vectorized kernels at
+  /// the best SIMD tier the CPU supports, and the thread fleet that runs
+  /// operator morsels and exchange clone levels. Simulated timings are
+  /// unaffected; wall_ns fields report hardware truth. Tracing (obs/trace.h)
+  /// and the introspection endpoint (obs/http_exporter.h) are process-wide,
+  /// switched by APQ_TRACE / APQ_HTTP or their obs/ calls, not per engine.
   bool use_morsels = false;
   uint64_t morsel_rows = kDefaultMorselRows;
   int morsel_workers = 0;  // 0 = one per hardware thread
-  /// SIMD dispatch tier for the vectorized kernels (see
-  /// ExecOptions::simd_level): kAuto = best level the CPU supports; lower
-  /// levels pin the tier for differential testing. APQ_SIMD overrides.
-  simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
-  /// Span tracing (see ExecOptions::trace): query/run/operator/morsel spans
-  /// plus steal and mutation events into the process-wide ring buffers,
-  /// exportable as Chrome trace JSON (obs/trace.h). APQ_TRACE=<file> enables
-  /// this too and flushes the trace at process exit.
-  bool trace = false;
-  /// Live introspection endpoint (obs/http_exporter.h): when > 0, the
-  /// engine constructor starts the process-wide HTTP exporter on
-  /// 127.0.0.1:<http_port> (GET /metrics, /metrics.json, /healthz,
-  /// /debug/queries, /debug/profile/<query-id>). 0 = off. APQ_HTTP=<port>
-  /// enables it too, without Engine plumbing; a failing bind warns once and
-  /// introspection stays off — it never fails a query.
-  int http_port = 0;
   /// Thread fleet to share with other engines/queries. When null and
   /// use_morsels is set, the engine creates its own; pass
   /// MorselScheduler::Shared() (or another engine's morsel_scheduler()) so
@@ -95,7 +81,6 @@ class Engine {
       // engines before the first query runs.
       evaluator_.EnsureMorselScheduler();
     }
-    if (config_.http_port > 0) StartIntrospection(config_.http_port);
   }
 
   const EngineConfig& config() const { return config_; }
@@ -147,10 +132,6 @@ class Engine {
       double spacing_ns = 0.0);
 
  private:
-  /// Starts the process-wide HTTP exporter on `port` (hardened: a failing
-  /// bind warns once on stderr and introspection stays off).
-  static void StartIntrospection(int port);
-
   /// RunPlan minus the query-id / record bookkeeping (the outer method
   /// records the outcome — including errors — into the query log).
   StatusOr<QueryRunResult> RunPlanInner(const QueryPlan& plan,
@@ -159,12 +140,9 @@ class Engine {
 
   static ExecOptions MakeExecOptions(const EngineConfig& c) {
     ExecOptions o;
-    o.use_kernels = c.use_kernels;
     o.use_morsels = c.use_morsels;
     o.morsel_rows = c.morsel_rows;
     o.morsel_workers = c.morsel_workers;
-    o.simd_level = c.simd_level;
-    o.trace = c.trace;
     return o;
   }
 

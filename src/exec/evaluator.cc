@@ -2,9 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -15,6 +12,7 @@
 #include "exec/sort/merge.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
+#include "util/env.h"
 #include "util/hash_clock.h"
 
 // CMake stamps the project version in; a bare compile (e.g. an IDE index
@@ -92,51 +90,6 @@ Status InputSlot(const std::vector<Intermediate>& slots,
   }
   *out = &slots[id];
   return Status::OK();
-}
-
-// CI and stress runs force morsel execution onto every kernels-path query
-// without touching call sites. Returns 0 when unset/off, 1 when set (keep the
-// configured morsel size), or a row count when the variable carries one
-// (APQ_FORCE_MORSELS=4096 — small enough that unit-test tables split too).
-// Anything that does not parse as a sane row count is rejected with a
-// one-line warning rather than silently becoming an undefined morsel size.
-uint64_t ForcedMorselRowsFromEnv() {
-  // A morsel bigger than this could only mean a typo (it exceeds any table
-  // this repository can hold in memory) or a negative value pushed through
-  // strtoull's modular wrap.
-  constexpr unsigned long long kMaxSaneMorselRows = 1ull << 32;
-  static const uint64_t forced = [] {
-    const char* v = std::getenv("APQ_FORCE_MORSELS");
-    if (v == nullptr || v[0] == '\0') return uint64_t{0};
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long n = std::strtoull(v, &end, 10);
-    if (end == v || *end != '\0') {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_FORCE_MORSELS=\"%s\": not a number "
-                   "(use 1 to force, or a rows-per-morsel count)\n",
-                   v);
-      return uint64_t{0};
-    }
-    if (errno == ERANGE || n > kMaxSaneMorselRows) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_FORCE_MORSELS=\"%s\": absurd morsel "
-                   "size (max %llu rows)\n",
-                   v, kMaxSaneMorselRows);
-      return uint64_t{0};
-    }
-    if (n == 0) {
-      std::fprintf(stderr,
-                   "apq: APQ_FORCE_MORSELS=\"%s\" parses to 0; morsel "
-                   "execution is NOT forced\n",
-                   v);
-      return uint64_t{0};
-    }
-    // 1 forces with the configured size, larger values force that many rows
-    // per morsel.
-    return static_cast<uint64_t>(n);
-  }();
-  return forced;
 }
 
 // Per-op-kind tuple-flow counters (every tier funnels through ExecNode, so
@@ -261,15 +214,22 @@ void SetIdDomain(const oid* ids, uint64_t b, uint64_t e, RowRange range,
 bool Evaluator::MorselsEnabled() const {
   return options_.use_kernels &&
          (options_.use_morsels || (morsel_sched_ && !morsel_sched_owned_) ||
-          ForcedMorselRowsFromEnv() != 0);
+          ForcedEnvMorselRows() != 0);
 }
 
 uint64_t Evaluator::EffectiveMorselRows() const {
-  const uint64_t forced = ForcedMorselRowsFromEnv();
+  const uint64_t forced = ForcedEnvMorselRows();
   return forced > 1 ? forced : options_.morsel_rows;
 }
 
-uint64_t Evaluator::ForcedEnvMorselRows() { return ForcedMorselRowsFromEnv(); }
+uint64_t Evaluator::ForcedEnvMorselRows() {
+  // CI and stress runs force a fleet onto every kernels-path evaluator
+  // without touching call sites. The cap only catches typos: no table this
+  // repository can hold in memory has 2^32 rows.
+  static const uint64_t forced =
+      EnvInt("APQ_FORCE_MORSELS", 1, 1ull << 32).value_or(0);
+  return forced;
+}
 
 uint64_t Evaluator::MorselRowsForNode(int node_id) const {
   if (!adaptive_rows_.empty()) {
@@ -1254,25 +1214,6 @@ Status Evaluator::ExecUnion(const PlanNode& node, const ExecContext& ctx,
                                       in->agg_counts.begin(),
                                       in->agg_counts.end());
           }
-        }
-      }
-      break;
-    }
-    case Intermediate::Kind::kGroupedAgg: {
-      result->kind = kind;
-      result->group_keys.type = ins[0]->group_keys.type;
-      result->group_keys.dict = ins[0]->group_keys.dict;
-      for (const auto* in : ins) {
-        result->group_keys.Append(in->group_keys);
-        result->agg_vals.insert(result->agg_vals.end(), in->agg_vals.begin(),
-                                in->agg_vals.end());
-        if (in->agg_counts.empty()) {
-          result->agg_counts.insert(result->agg_counts.end(),
-                                    in->agg_vals.size(), 1);
-        } else {
-          result->agg_counts.insert(result->agg_counts.end(),
-                                    in->agg_counts.begin(),
-                                    in->agg_counts.end());
         }
       }
       break;

@@ -35,7 +35,6 @@
 #include "exec/simd/simd_ops.h"
 #include "exec/sort/sort_runs.h"
 #include "obs/metrics.h"
-#include "obs/resource_tracker.h"
 #include "obs/trace.h"
 #include "plan/plan.h"
 #include "sched/morsel_scheduler.h"
@@ -100,17 +99,10 @@ struct ExecOptions {
   /// SIMD dispatch tier for the vectorized kernels: kAuto resolves to the
   /// best level the CPU supports (cpuid probe), lower levels pin the tier
   /// (for differential testing). The APQ_SIMD environment variable
-  /// (scalar|avx2|avx512, validated like APQ_FORCE_MORSELS) overrides this.
-  /// Only meaningful with use_kernels; outputs are bit-identical at every
-  /// level. Levels above what the CPU/build supports clamp down.
+  /// (scalar|avx2|avx512; an unknown name warns and is ignored) overrides
+  /// this. Only meaningful with use_kernels; outputs are bit-identical at
+  /// every level. Levels above what the CPU/build supports clamp down.
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
-  /// Enable span tracing (obs/trace.h) for executions through this
-  /// evaluator: operator spans, sampled morsel spans, steal events. Enabling
-  /// is process-wide and sticky (the ring buffers are shared); a valid
-  /// APQ_TRACE environment variable also enables it and adds an at-exit
-  /// Chrome-trace export. Tracing never changes results — only timings are
-  /// observed — and costs one branch per span site when off.
-  bool trace = false;
 };
 
 /// Registers the apq_build_info metric (constant 1, labeled with the
@@ -147,30 +139,15 @@ class Evaluator {
     // Engine still export at exit; the gauge mirrors the dispatch tier the
     // kernels actually run with.
     obs::InitFromEnv();
-    if (options_.trace) obs::SetTraceEnabled(true);
     obs::MetricsRegistry::Global()
         .GetGauge("apq_simd_dispatch_level")
         ->Set(static_cast<int64_t>(simd_ops_->level));
     RegisterBuildInfo(simd_ops_->level);
   }
   const ExecOptions& options() const { return options_; }
-  void set_use_kernels(bool on) { options_.use_kernels = on; }
 
   /// Executes `plan`; on success fills `out`.
   Status Execute(const QueryPlan& plan, EvalResult* out);
-
-  /// Drops cached hash indexes (e.g. between unrelated experiments). Must not
-  /// race with an Execute that is building hashes.
-  void ClearCaches() {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    for (const auto& [col, slot] : hash_cache_) {
-      if (slot && slot->index) {
-        obs::AddHashCacheBytes(
-            -static_cast<int64_t>(slot->index->byte_size()));
-      }
-    }
-    hash_cache_.clear();
-  }
 
   /// Injects a (possibly shared) morsel scheduler. Concurrent queries that
   /// share one scheduler multiplex one worker fleet instead of spawning a
@@ -195,10 +172,10 @@ class Evaluator {
   /// APQ_FORCE_MORSELS carries an explicit row count (e.g. =4096).
   uint64_t EffectiveMorselRows() const;
 
-  /// The validated APQ_FORCE_MORSELS value: 0 = unset/off/rejected, 1 = on
-  /// with the configured size, >1 = forced rows per morsel. Exposed so tests
-  /// reason about the forced size with the evaluator's own parsing instead
-  /// of re-implementing it.
+  /// The validated APQ_FORCE_MORSELS value (1..2^32, read once through
+  /// util/env.h): 0 = unset or rejected, 1 = on with the configured size,
+  /// >1 = forced rows per morsel. Exposed so tests reason about the forced
+  /// size with the evaluator's own reading instead of re-implementing it.
   static uint64_t ForcedEnvMorselRows();
 
   /// The SIMD dispatch table this evaluator's kernels run with (after the

@@ -1,12 +1,12 @@
 // Runtime CPU dispatch for the SIMD kernel tier.
 //
 // The probe runs once per process (__builtin_cpu_supports, cached in a
-// static); the APQ_SIMD environment override mirrors the hardened
-// APQ_FORCE_MORSELS parsing: anything that is not a known level name is
-// rejected with a one-line warning and the runtime probe decides, so a typo
-// can never silently change which kernels run. A recognized level the CPU
-// cannot execute is clamped down (with a warning) instead of crashing on an
-// illegal instruction.
+// static); the APQ_SIMD environment override follows the util/env.h rule
+// every knob does, with level names in place of numbers: anything that is
+// not a known level name is rejected with a one-line warning and the
+// runtime probe decides, so a typo can never silently change which kernels
+// run. A recognized level the CPU cannot execute is clamped down (with a
+// warning) instead of crashing on an illegal instruction.
 #include "exec/simd/simd_ops.h"
 
 #include <cctype>

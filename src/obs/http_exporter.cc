@@ -14,6 +14,7 @@
 
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "util/env.h"
 #include "util/hash_clock.h"
 
 namespace apq {
@@ -116,11 +117,9 @@ void HttpExporter::Handle(const std::string& raw_path, int* http_status,
   if (path.rfind(profile_prefix, 0) == 0) {
     RouteCounter("/debug/profile")->Inc();
     const std::string id_str = path.substr(profile_prefix.size());
-    char* end = nullptr;
-    errno = 0;
-    const unsigned long long id = std::strtoull(id_str.c_str(), &end, 10);
-    if (errno != 0 || end == id_str.c_str() || *end != '\0' || id == 0 ||
-        !QueryLog::Global().FindProfile(static_cast<uint64_t>(id), body)) {
+    uint64_t id = 0;
+    if (!ParseDecimal(id_str.c_str(), 1, UINT64_MAX, &id) ||
+        !QueryLog::Global().FindProfile(id, body)) {
       *http_status = 404;
       *body = "{\"error\":\"no profile for query id '" + id_str + "'\"}";
     }
@@ -252,39 +251,11 @@ void SetServiceProvider(std::string (*provider)()) {
   g_service_provider.store(provider);
 }
 
-int ParseHttpPort(const char* value) {
-  if (value == nullptr || value[0] == '\0') return -1;
-  char* end = nullptr;
-  errno = 0;
-  const long port = std::strtol(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || port < 1 || port > 65535) {
-    return -1;
-  }
-  return static_cast<int>(port);
-}
-
-int HttpEnvPort() {
-  static const int port = [] {
-    const char* v = std::getenv("APQ_HTTP");
-    if (v == nullptr || v[0] == '\0') return 0;
-    const int p = ParseHttpPort(v);
-    if (p < 0) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_HTTP=\"%s\": expected a port in "
-                   "1..65535; introspection stays off\n",
-                   v);
-      return 0;
-    }
-    return p;
-  }();
-  return port;
-}
-
 void InitHttpFromEnv() {
   static const bool once = [] {
-    const int port = HttpEnvPort();
+    const uint64_t port = EnvInt("APQ_HTTP", 1, 65535).value_or(0);
     if (port > 0) {
-      Status st = HttpExporter::Global().Start(port);
+      Status st = HttpExporter::Global().Start(static_cast<int>(port));
       if (!st.ok()) {
         std::fprintf(stderr,
                      "apq: APQ_HTTP introspection endpoint failed to start: "

@@ -47,7 +47,7 @@ namespace obs {
 
 /// \brief The embedded introspection server. Instantiable for tests (an
 /// ephemeral port via Start(0)); production use goes through Global(),
-/// started by EngineConfig::http_port or APQ_HTTP=<port>.
+/// started by APQ_HTTP=<port> or a direct Global().Start(port).
 class HttpExporter {
  public:
   HttpExporter() = default;
@@ -97,15 +97,6 @@ void SetWorkersProvider(std::string (*provider)());
 /// SetWorkersProvider: the service layer injects QueryService::ServiceJson.
 /// nullptr (the default) serves an empty service list.
 void SetServiceProvider(std::string (*provider)());
-
-/// Parses an APQ_HTTP-style port value: returns the port for "1".."65535",
-/// -1 for anything else (empty, garbage, out of range). Pure — exposed for
-/// tests; the env reader adds the warn-once behavior.
-int ParseHttpPort(const char* value);
-
-/// The validated APQ_HTTP port (0 = unset or rejected with a one-line
-/// warning). Parsed once per process.
-int HttpEnvPort();
 
 /// Reads APQ_HTTP once and starts Global() on that port when valid.
 /// Idempotent and cheap after the first call; obs::InitFromEnv calls this.

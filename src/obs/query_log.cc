@@ -1,13 +1,7 @@
 #include "obs/query_log.h"
 
 #include <atomic>
-#include <cctype>
-#include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <sstream>
-
-#include "obs/trace.h"  // ValidateWritablePath
 
 namespace apq {
 namespace obs {
@@ -66,10 +60,9 @@ QueryLog& QueryLog::Global() {
 }
 
 void QueryLog::Push(QueryRecord rec) {
-  const size_t cap = QueryLogCapacity();
   std::lock_guard<std::mutex> lock(mu_);
   recent_.push_back(std::move(rec));
-  while (recent_.size() > cap) recent_.pop_front();
+  while (recent_.size() > kQueryLogCapacity) recent_.pop_front();
 }
 
 std::vector<QueryRecord> QueryLog::Snapshot() const {
@@ -126,52 +119,6 @@ std::string QueryLog::DumpJson() const {
 void QueryLog::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
   recent_.clear();
-}
-
-size_t ParseQueryLogCapacity(const char* s) {
-  if (s == nullptr || *s == '\0') return 0;
-  for (const char* p = s; *p != '\0'; ++p) {
-    if (!std::isdigit(static_cast<unsigned char>(*p))) return 0;
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (errno != 0 || end == s || *end != '\0') return 0;
-  if (v < 1 || v > (1ull << 20)) return 0;  // an absurd ring is a typo
-  return static_cast<size_t>(v);
-}
-
-size_t QueryLogCapacity() {
-  static const size_t cap = [] {
-    const char* env = std::getenv("APQ_QUERY_LOG");
-    if (env == nullptr || *env == '\0') return kQueryLogCapacity;
-    const size_t parsed = ParseQueryLogCapacity(env);
-    if (parsed == 0) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_QUERY_LOG='%s' (want 1..1048576); "
-                   "query log keeps %zu entries\n",
-                   env, kQueryLogCapacity);
-      return kQueryLogCapacity;
-    }
-    return parsed;
-  }();
-  return cap;
-}
-
-const std::string& ProfileEnvPath() {
-  static const std::string path = [] {
-    const char* v = std::getenv("APQ_PROFILE");
-    if (v == nullptr || v[0] == '\0') return std::string();
-    if (!ValidateWritablePath(v)) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_PROFILE=\"%s\": cannot open for "
-                   "writing; profile dump stays off\n",
-                   v);
-      return std::string();
-    }
-    return std::string(v);
-  }();
-  return path;
 }
 
 }  // namespace obs

@@ -72,18 +72,8 @@ struct QueryRecord {
   std::string profile_json;
 };
 
-/// Default queries remembered by the ring; older records are evicted.
+/// Queries remembered by the ring; older records are evicted.
 constexpr size_t kQueryLogCapacity = 64;
-
-/// Parses an APQ_QUERY_LOG value: a plain decimal ring size in
-/// [1, 1048576]. Returns 0 on anything else (empty, non-numeric, zero,
-/// absurd) so the caller can warn and keep the default.
-size_t ParseQueryLogCapacity(const char* s);
-
-/// The ring capacity actually in effect: APQ_QUERY_LOG when set and valid
-/// (parsed once, warn-once on bad values — hardened like
-/// APQ_FORCE_MORSELS), kQueryLogCapacity otherwise.
-size_t QueryLogCapacity();
 
 /// \brief Fixed-capacity ring of recent queries, mutex-protected (pushes
 /// happen once per query, reads once per scrape — nowhere near a hot path).
@@ -119,11 +109,6 @@ class QueryLog {
   mutable std::mutex mu_;
   std::deque<QueryRecord> recent_;  // oldest at front
 };
-
-/// The validated APQ_PROFILE target ("" = unset or rejected with a one-line
-/// warning). Parsed once per process, hardened exactly like APQ_TRACE: an
-/// unwritable path never aborts a query.
-const std::string& ProfileEnvPath();
 
 }  // namespace obs
 }  // namespace apq

@@ -1,14 +1,12 @@
 #include "obs/resource_tracker.h"
 
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "util/env.h"
 
 namespace apq {
 namespace obs {
@@ -109,17 +107,10 @@ void SetAccountingEnabled(bool on) {
 void InitAccountingFromEnv() {
   static std::once_flag once;
   std::call_once(once, [] {
-    const char* env = std::getenv("APQ_ACCOUNTING");
-    if (env == nullptr || *env == '\0') return;
-    if (std::strcmp(env, "0") == 0) {
-      SetAccountingEnabled(false);
-    } else if (std::strcmp(env, "1") == 0) {
-      SetAccountingEnabled(true);
-    } else {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_ACCOUNTING='%s' (want 0 or 1); "
-                   "resource accounting stays on\n",
-                   env);
+    // Unset leaves the switch alone: a test's earlier SetAccountingEnabled
+    // survives the first InitFromEnv.
+    if (const auto on = EnvInt("APQ_ACCOUNTING", 0, 1)) {
+      SetAccountingEnabled(*on != 0);
     }
   });
 }

@@ -54,9 +54,9 @@ inline bool AccountingEnabled();
 /// override; on by default).
 void SetAccountingEnabled(bool on);
 
-/// Reads APQ_ACCOUNTING once (hardened like APQ_FORCE_MORSELS: "0" or "1",
-/// anything else warns once and keeps the default ON). Called from
-/// obs::InitFromEnv.
+/// Reads APQ_ACCOUNTING once through util/env.h: "0" or "1" sets the
+/// switch; unset leaves it alone; anything else warns once and leaves it
+/// alone. Called from obs::InitFromEnv.
 void InitAccountingFromEnv();
 
 /// \brief Per-operator accounting block. Owned by the evaluator (one per

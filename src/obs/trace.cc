@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
+#include "util/env.h"
 
 namespace apq {
 namespace obs {
@@ -119,56 +120,54 @@ void JsonEscapeInto(std::ostringstream& os, const char* s) {
   }
 }
 
-// ---- APQ_TRACE / APQ_METRICS: validated once, like APQ_FORCE_MORSELS ----
-
-std::string ValidatedEnvPath(const char* var) {
-  const char* v = std::getenv(var);
-  if (v == nullptr || v[0] == '\0') return "";
-  if (!ValidateWritablePath(v)) {
-    std::fprintf(stderr,
-                 "apq: ignoring %s=\"%s\": cannot open for writing (%s); "
-                 "tracing stays off for this target\n",
-                 var, v, std::strerror(errno));
-    return "";
+Status WriteFile(const std::string& path, const std::string& body) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) {
+    return Status::InvalidArgument("cannot open '" + path +
+                                   "': " + std::strerror(errno));
   }
-  return v;
+  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
+  std::fclose(f);
+  if (written != body.size()) {
+    return Status::Internal("short write to '" + path + "'");
+  }
+  return Status::OK();
+}
+
+// The at-exit export targets, probed once (util/env.h). "" = off.
+struct ExportPaths {
+  std::string trace, metrics, profile;
+};
+
+const ExportPaths& EnvExportPaths() {
+  static const ExportPaths paths{EnvPath("APQ_TRACE"), EnvPath("APQ_METRICS"),
+                                 EnvPath("APQ_PROFILE")};
+  return paths;
+}
+
+// An export that fails at exit warns; it never changes the exit status.
+void ExportOrWarn(const char* what, const std::string& path,
+                  const std::string& body) {
+  Status st = WriteFile(path, body);
+  if (!st.ok()) {
+    std::fprintf(stderr, "apq: %s export failed: %s\n", what,
+                 st.ToString().c_str());
+  }
 }
 
 void ExportAtExit() {
-  const std::string& trace_path = TraceEnvPath();
-  if (!trace_path.empty()) {
-    Status st = WriteChromeTrace(trace_path);
-    if (!st.ok()) {
-      std::fprintf(stderr, "apq: trace export to \"%s\" failed: %s\n",
-                   trace_path.c_str(), st.ToString().c_str());
-    }
+  const ExportPaths& p = EnvExportPaths();
+  if (!p.trace.empty()) ExportOrWarn("trace", p.trace, ChromeTraceJson());
+  if (!p.metrics.empty()) {
+    // A ".json" suffix selects registry JSON; anything else Prometheus text.
+    const bool json = p.metrics.size() >= 5 &&
+                      p.metrics.rfind(".json") == p.metrics.size() - 5;
+    ExportOrWarn("metrics", p.metrics,
+                 json ? MetricsRegistry::Global().ToJson()
+                      : MetricsRegistry::Global().ToPrometheus());
   }
-  const std::string& metrics_path = MetricsEnvPath();
-  if (!metrics_path.empty()) {
-    const bool json = metrics_path.size() >= 5 &&
-                      metrics_path.rfind(".json") == metrics_path.size() - 5;
-    const std::string body = json ? MetricsRegistry::Global().ToJson()
-                                  : MetricsRegistry::Global().ToPrometheus();
-    std::FILE* f = std::fopen(metrics_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "apq: metrics export to \"%s\" failed: %s\n",
-                   metrics_path.c_str(), std::strerror(errno));
-    }
-  }
-  const std::string& profile_path = ProfileEnvPath();
-  if (!profile_path.empty()) {
-    const std::string body = QueryLog::Global().DumpJson();
-    std::FILE* f = std::fopen(profile_path.c_str(), "w");
-    if (f != nullptr) {
-      std::fwrite(body.data(), 1, body.size(), f);
-      std::fclose(f);
-    } else {
-      std::fprintf(stderr, "apq: profile export to \"%s\" failed: %s\n",
-                   profile_path.c_str(), std::strerror(errno));
-    }
+  if (!p.profile.empty()) {
+    ExportOrWarn("profile", p.profile, QueryLog::Global().DumpJson());
   }
 }
 
@@ -279,18 +278,7 @@ std::string ChromeTraceJson() {
 }
 
 Status WriteChromeTrace(const std::string& path) {
-  const std::string body = ChromeTraceJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    return Status::InvalidArgument("cannot open trace file '" + path +
-                                   "': " + std::strerror(errno));
-  }
-  const size_t written = std::fwrite(body.data(), 1, body.size(), f);
-  std::fclose(f);
-  if (written != body.size()) {
-    return Status::Internal("short write to trace file '" + path + "'");
-  }
-  return Status::OK();
+  return WriteFile(path, ChromeTraceJson());
 }
 
 void ClearTraceBuffers() {
@@ -304,31 +292,13 @@ void ClearTraceBuffers() {
   }
 }
 
-bool ValidateWritablePath(const char* path) {
-  if (path == nullptr || path[0] == '\0') return false;
-  std::FILE* f = std::fopen(path, "a");  // append: don't clobber on probe
-  if (f == nullptr) return false;
-  std::fclose(f);
-  return true;
-}
-
-const std::string& TraceEnvPath() {
-  static const std::string path = ValidatedEnvPath("APQ_TRACE");
-  return path;
-}
-
-const std::string& MetricsEnvPath() {
-  static const std::string path = ValidatedEnvPath("APQ_METRICS");
-  return path;
-}
-
 void InitFromEnv() {
   static const bool once = [] {
-    const bool trace = !TraceEnvPath().empty();
-    const bool metrics = !MetricsEnvPath().empty();
-    const bool profile = !ProfileEnvPath().empty();
-    if (trace) SetTraceEnabled(true);
-    if (trace || metrics || profile) std::atexit(ExportAtExit);
+    const ExportPaths& p = EnvExportPaths();
+    if (!p.trace.empty()) SetTraceEnabled(true);
+    if (!p.trace.empty() || !p.metrics.empty() || !p.profile.empty()) {
+      std::atexit(ExportAtExit);
+    }
     InitAccountingFromEnv();
     InitHttpFromEnv();
     return true;

@@ -78,8 +78,7 @@ uint64_t TraceTicks();
 inline bool TraceEnabled();
 
 /// Turns collection on/off process-wide. Enabling is sticky until disabled;
-/// ExecOptions::trace / EngineConfig::trace call this, as does a valid
-/// APQ_TRACE environment variable.
+/// a valid APQ_TRACE environment variable calls this at first use.
 void SetTraceEnabled(bool on);
 
 /// Appends a span to the calling thread's ring (no-op when disabled).
@@ -139,27 +138,16 @@ Status WriteChromeTrace(const std::string& path);
 /// adaptive experiments to keep exports scoped to one run).
 void ClearTraceBuffers();
 
-/// True when `path` can be opened for writing (probe-open + close). Does not
-/// truncate an existing file. The APQ_TRACE/APQ_METRICS validators warn and
-/// ignore the variable when this fails — tracing must never abort a query.
-bool ValidateWritablePath(const char* path);
-
-/// The validated APQ_TRACE target ("" = unset or rejected with a warning).
-/// Parsed once per process, exactly like APQ_FORCE_MORSELS / APQ_SIMD.
-const std::string& TraceEnvPath();
-
-/// The validated APQ_METRICS target ("" = unset/rejected). A ".json" suffix
-/// selects MetricsRegistry JSON; anything else gets Prometheus text.
-const std::string& MetricsEnvPath();
-
-/// Reads APQ_TRACE / APQ_METRICS / APQ_PROFILE / APQ_HTTP once: a valid
-/// APQ_TRACE enables collection, and an atexit exporter flushes the trace,
-/// the metrics snapshot (APQ_METRICS), and the recent-query profile dump
-/// (APQ_PROFILE, obs/query_log.h) when the process ends, so benches and
-/// examples get observability without Engine plumbing. A valid APQ_HTTP
-/// starts the live introspection endpoint (obs/http_exporter.h). Idempotent
-/// and cheap after the first call; the evaluator calls this from
-/// set_options.
+/// Reads APQ_TRACE / APQ_METRICS / APQ_PROFILE / APQ_HTTP / APQ_ACCOUNTING
+/// once through util/env.h (an unwritable path or invalid value warns and
+/// keeps the default): a valid APQ_TRACE enables collection, and an atexit
+/// exporter flushes the trace, the metrics snapshot (APQ_METRICS; a ".json"
+/// suffix selects JSON, anything else Prometheus text), and the
+/// recent-query profile dump (APQ_PROFILE, obs/query_log.h) when the
+/// process ends, so benches and examples get observability without Engine
+/// plumbing. A valid APQ_HTTP starts the live introspection endpoint
+/// (obs/http_exporter.h). Idempotent and cheap after the first call; the
+/// evaluator calls this from set_options.
 void InitFromEnv();
 
 // ---- implementation details (header-inline for the hot-path branch) ----

@@ -146,6 +146,35 @@ RunProfile MakeRunProfile(const QueryPlan& plan,
   return rp;
 }
 
+SimulatedRun SimulateRun(const QueryPlan& plan,
+                         const std::vector<OpMetrics>& metrics,
+                         const CostModel& cost_model,
+                         const Simulator& simulator,
+                         const std::vector<SimTask>& background,
+                         uint64_t seed_salt) {
+  std::vector<SimTask> tasks =
+      BuildSimTasks(plan, metrics, cost_model, /*instance=*/0);
+  const int own = static_cast<int>(tasks.size());
+  for (SimTask t : background) {
+    for (int& d : t.deps) d += own;
+    if (t.instance == 0) t.instance = 1;
+    tasks.push_back(std::move(t));
+  }
+  const SimOutcome sim = simulator.Run(tasks, seed_salt);
+  SimulatedRun out;
+  out.time_ns = sim.instance_response_ns[0];
+  // The query's own tasks come first, so timings[i] still matches
+  // metrics[i].
+  out.profile = MakeRunProfile(plan, metrics, cost_model, sim.timings,
+                               out.time_ns, /*utilization=*/0);
+  if (out.time_ns > 0) {
+    out.profile.utilization =
+        out.profile.TotalBusyNs() /
+        (out.time_ns * simulator.config().logical_cores);
+  }
+  return out;
+}
+
 std::string RenderOpReport(const RunProfile& profile) {
   TablePrinter tp({"node", "op", "label", "time_ms", "tuples_in", "tuples_out",
                    "morsels", "p50_ms", "p95_ms", "tskew"});

@@ -102,6 +102,25 @@ RunProfile MakeRunProfile(const QueryPlan& plan,
                           const std::vector<SimTaskTiming>& timings,
                           double makespan_ns, double utilization);
 
+/// \brief One run of a query on the simulated machine.
+struct SimulatedRun {
+  double time_ns = 0;   // the query's response time
+  /// Its operators' profile. makespan_ns is time_ns, and utilization is
+  /// the operators' busy time over time_ns on every logical core.
+  RunProfile profile;
+};
+
+/// \brief Simulates one evaluated run of `plan` as instance 0, alongside
+/// `background` (whose deps index the background vector; its instance-0
+/// tasks become instance 1). Engine::RunPlan and the adaptive loop both
+/// time a run with this.
+SimulatedRun SimulateRun(const QueryPlan& plan,
+                         const std::vector<OpMetrics>& metrics,
+                         const CostModel& cost_model,
+                         const Simulator& simulator,
+                         const std::vector<SimTask>& background,
+                         uint64_t seed_salt);
+
 /// \brief ASCII rendering of per-core operator activity over time, in the
 /// spirit of the paper's tomograph figures (Figs 19/20).
 std::string RenderTomograph(const RunProfile& profile, int width = 72);

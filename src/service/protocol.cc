@@ -5,6 +5,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "util/env.h"
+
 namespace apq {
 namespace service {
 
@@ -20,16 +22,6 @@ void AppendDouble(std::string* out, double v) {
 
 void AppendInt(std::string* out, int64_t v) {
   out->append(std::to_string(v));
-}
-
-bool ParseU64(const std::string& s, uint64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  *out = static_cast<uint64_t>(v);
-  return true;
 }
 
 bool ParseFrac(const std::string& s, double* out) {
@@ -75,7 +67,7 @@ Status ParseRequest(const std::string& line, Request* out) {
     const std::string key = kv.substr(0, eq);
     const std::string val = kv.substr(eq + 1);
     if (key == "tag") {
-      if (!ParseU64(val, &out->tag)) {
+      if (!ParseDecimal(val.c_str(), 0, UINT64_MAX, &out->tag)) {
         return Status::InvalidArgument("bad tag '" + val + "'");
       }
     } else if (key == "sel") {

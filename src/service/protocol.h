@@ -10,7 +10,8 @@
 // where <query> is a workload query name (TPC-H "Q4".."Q22", see
 // workload/tpch.h) and the optional parameters are:
 //
-//   tag=<n>        echoed verbatim in the response header, so a client can
+//   tag=<n>        decimal digits only (0..2^64-1; util/env.h ParseDecimal),
+//                  echoed verbatim in the response header, so a client can
 //                  correlate pipelined responses with requests
 //   sel=<frac>     Q6 only: selectivity-controlled variant (Q6Selectivity)
 //

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <sstream>
 
@@ -16,6 +14,7 @@
 #include "engine/engine.h"
 #include "obs/http_exporter.h"
 #include "sched/morsel_scheduler.h"
+#include "util/env.h"
 #include "util/hash_clock.h"
 
 namespace apq {
@@ -53,63 +52,20 @@ void SockWriteAll(int fd, const std::string& data) {
 
 // ---- config / env knobs -----------------------------------------------------
 
-long ParseServiceLimit(const char* value, long min, long max) {
-  if (value == nullptr || value[0] == '\0') return -1;
-  char* end = nullptr;
-  errno = 0;
-  const long v = std::strtol(value, &end, 10);
-  if (errno != 0 || end == value || *end != '\0' || v < min || v > max) {
-    return -1;
-  }
-  return v;
-}
-
 ServiceConfig ServiceConfig::FromEnv() {
+  static const int port =
+      static_cast<int>(EnvInt("APQ_SERVICE_PORT", 1, 65535).value_or(0));
+  static const int max_concurrent = static_cast<int>(
+      EnvInt("APQ_SERVICE_MAX_CONCURRENT", 1, 256)
+          .value_or(kDefaultMaxConcurrent));
+  static const size_t queue_depth =
+      EnvInt("APQ_SERVICE_QUEUE_DEPTH", 0, 1048576)
+          .value_or(kDefaultMaxQueueDepth);
   ServiceConfig cfg;
-  static const long max_concurrent = [] {
-    const char* v = std::getenv("APQ_SERVICE_MAX_CONCURRENT");
-    if (v == nullptr || v[0] == '\0') return -1L;
-    const long p = ParseServiceLimit(v, 1, 256);
-    if (p < 0) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_SERVICE_MAX_CONCURRENT=\"%s\": expected "
-                   "an integer in 1..256; keeping the default %d\n",
-                   v, kDefaultMaxConcurrent);
-    }
-    return p;
-  }();
-  static const long queue_depth = [] {
-    const char* v = std::getenv("APQ_SERVICE_QUEUE_DEPTH");
-    if (v == nullptr || v[0] == '\0') return -1L;
-    const long p = ParseServiceLimit(v, 0, 1048576);
-    if (p < 0) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_SERVICE_QUEUE_DEPTH=\"%s\": expected an "
-                   "integer in 0..1048576; keeping the default %zu\n",
-                   v, kDefaultMaxQueueDepth);
-    }
-    return p;
-  }();
-  if (max_concurrent > 0) cfg.max_concurrent = static_cast<int>(max_concurrent);
-  if (queue_depth >= 0) cfg.max_queue_depth = static_cast<size_t>(queue_depth);
+  cfg.port = port;
+  cfg.max_concurrent = max_concurrent;
+  cfg.max_queue_depth = queue_depth;
   return cfg;
-}
-
-int ServiceEnvPort() {
-  static const int port = [] {
-    const char* v = std::getenv("APQ_SERVICE_PORT");
-    if (v == nullptr || v[0] == '\0') return 0;
-    const int p = obs::ParseHttpPort(v);
-    if (p < 0) {
-      std::fprintf(stderr,
-                   "apq: ignoring APQ_SERVICE_PORT=\"%s\": expected a port in "
-                   "1..65535\n",
-                   v);
-      return 0;
-    }
-    return p;
-  }();
-  return port;
 }
 
 bool IsHeavyQuery(const std::string& name) {
@@ -425,14 +381,12 @@ void QueryService::Execute(Engine& engine, const Pending& p,
   // the workers. Morsel size never changes results (the house invariant),
   // so degradation is invisible to correctness.
   const int fleet = fleet_workers();
-  int granted = fleet;
-  if (config_.degrade_workers) {
-    granted = admission_->GrantedWorkers(fleet, admission_->Stats().active);
-    if (granted < fleet) {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++degraded_total_;
-      m_degraded_->Inc();
-    }
+  const int granted =
+      admission_->GrantedWorkers(fleet, admission_->Stats().active);
+  if (granted < fleet) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++degraded_total_;
+    m_degraded_->Inc();
   }
   const uint64_t base_rows =
       config_.morsel_rows > 0 ? config_.morsel_rows : kDefaultMorselRows;

@@ -59,7 +59,7 @@ namespace service {
 /// keeps the default).
 struct ServiceConfig {
   /// TCP port to bind on 127.0.0.1 (0 = kernel-assigned ephemeral port, for
-  /// tests and the in-process bench).
+  /// tests and the in-process bench). APQ_SERVICE_PORT overrides.
   int port = 0;
   /// Concurrently executing (morsel-producing) queries; also the executor
   /// thread count. APQ_SERVICE_MAX_CONCURRENT overrides.
@@ -70,24 +70,15 @@ struct ServiceConfig {
   std::size_t max_queue_depth = kDefaultMaxQueueDepth;
   /// Workers of the shared morsel fleet (0 = one per hardware thread).
   int morsel_workers = 0;
-  /// Base rows per morsel for admitted queries.
+  /// Base rows per morsel for admitted queries. Under load each query's
+  /// morsels grow by the admission grant (AdmissionGrant), which caps its
+  /// share of the fleet.
   uint64_t morsel_rows = 0;  // 0 = kDefaultMorselRows
-  /// Degrade per-query fleet share under load (AdmissionGrant). Off pins
-  /// every query at the full fleet (differential tests flip this).
-  bool degrade_workers = true;
 
-  /// Defaults + APQ_SERVICE_MAX_CONCURRENT / APQ_SERVICE_QUEUE_DEPTH.
+  /// Defaults + APQ_SERVICE_PORT / APQ_SERVICE_MAX_CONCURRENT /
+  /// APQ_SERVICE_QUEUE_DEPTH.
   static ServiceConfig FromEnv();
 };
-
-/// Parses an APQ_SERVICE_MAX_CONCURRENT-style value: a decimal integer in
-/// [min, max]. Returns -1 on anything else (empty, garbage, out of range).
-/// Pure — exposed for tests; FromEnv adds the warn-once behavior.
-long ParseServiceLimit(const char* value, long min, long max);
-
-/// The validated APQ_SERVICE_PORT (0 = unset or rejected with a one-line
-/// warning). Parsed once per process; the standalone server binary uses it.
-int ServiceEnvPort();
 
 /// True for the query names the admission queue classes as heavy analytics
 /// (multi-join/aggregation shapes: Q4, Q8, Q9, Q19, Q22); Q6 and Q14 are

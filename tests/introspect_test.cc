@@ -217,20 +217,7 @@ TEST(ProfileJsonTest, QueryDocPlainVsAdaptive) {
   EXPECT_NE(aj.find("\"action\":\"none\""), std::string::npos);
 }
 
-// ---- HTTP exporter: env parsing and routing ---------------------------------
-
-TEST(HttpExporterTest, ParseHttpPortIsStrict) {
-  EXPECT_EQ(obs::ParseHttpPort("9417"), 9417);
-  EXPECT_EQ(obs::ParseHttpPort("1"), 1);
-  EXPECT_EQ(obs::ParseHttpPort("65535"), 65535);
-  EXPECT_EQ(obs::ParseHttpPort("0"), -1);
-  EXPECT_EQ(obs::ParseHttpPort("65536"), -1);
-  EXPECT_EQ(obs::ParseHttpPort("-1"), -1);
-  EXPECT_EQ(obs::ParseHttpPort("80x"), -1);
-  EXPECT_EQ(obs::ParseHttpPort("abc"), -1);
-  EXPECT_EQ(obs::ParseHttpPort(""), -1);
-  EXPECT_EQ(obs::ParseHttpPort(nullptr), -1);
-}
+// ---- HTTP exporter: routing -------------------------------------------------
 
 void Handle(const std::string& path, int* status, std::string* body) {
   std::string content_type;
@@ -282,6 +269,9 @@ TEST(HttpExporterTest, RoutingTableServesEveryEndpoint) {
   Handle("/debug/profile/123456789", &status, &body);
   EXPECT_EQ(status, 404);
   Handle("/debug/profile/notanumber", &status, &body);
+  EXPECT_EQ(status, 404);
+  // Ids are digits only (util/env.h ParseDecimal): a sign is not an id.
+  Handle("/debug/profile/+99999", &status, &body);
   EXPECT_EQ(status, 404);
   Handle("/nope", &status, &body);
   EXPECT_EQ(status, 404);

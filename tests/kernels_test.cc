@@ -30,8 +30,9 @@ class KernelsTest : public ::testing::Test {
     ints_ = Column::MakeInt64("ints", std::move(iv));
     floats_ = Column::MakeFloat64("floats", std::move(fv));
     strs_ = Column::MakeString("strs", sv);
-    scalar_.set_use_kernels(false);
-    vectorized_.set_use_kernels(true);
+    ExecOptions scalar;
+    scalar.use_kernels = false;
+    scalar_.set_options(scalar);
   }
 
   // Runs the same plan through both backends and requires identical results,

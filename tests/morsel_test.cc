@@ -220,8 +220,9 @@ class MorselDifferentialTest : public ::testing::Test {
   // Reference = scalar interpreter; baseline = whole-column kernels; subject
   // = morsel execution at every (morsel size x worker count) combination.
   void ExpectMorselMatches(const QueryPlan& plan) {
-    Evaluator scalar(ExecOptions{});
-    scalar.set_use_kernels(false);
+    ExecOptions scalar_options;
+    scalar_options.use_kernels = false;
+    Evaluator scalar(scalar_options);
     Evaluator whole;  // kernels, no morsels
     EvalResult ref, base;
     ASSERT_TRUE(scalar.Execute(plan, &ref).ok());
@@ -364,6 +365,11 @@ TEST_F(MorselDifferentialTest, ScalarInterpreterIsNeverMorselized) {
 // ---- wall-clock speedup (gated on real cores) ------------------------------
 
 TEST(MorselSpeedupTest, MorselsBeatWholeColumnOnMulticore) {
+  if (Evaluator::ForcedEnvMorselRows() != 0) {
+    GTEST_SKIP() << "APQ_FORCE_MORSELS gives the default (baseline) "
+                    "evaluator a fleet too, so both sides would run the same "
+                    "configuration; run without the override to compare";
+  }
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs >= 4 hardware threads; correctness/determinism "
                     "suites gate on this machine";

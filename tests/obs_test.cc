@@ -1,11 +1,15 @@
 // Observability layer: metrics registry units, tracer ring-buffer and
-// export units, scheduler metrics invariants across worker counts, and the
-// determinism contract — tracing on vs off must be bit-identical over the
-// TPC-H suite at every worker count.
+// export units, the APQ_* knob reader (util/env.h), scheduler metrics
+// invariants across worker counts, and the determinism contract — tracing
+// on vs off must be bit-identical over the TPC-H suite at every worker
+// count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -14,6 +18,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sched/morsel_scheduler.h"
+#include "util/env.h"
 #include "workload/tpch.h"
 
 namespace apq {
@@ -201,14 +206,99 @@ TEST(TraceTest, WriteChromeTraceAndPathValidation) {
   std::fclose(f);
   std::remove(path.c_str());
 
-  // The APQ_TRACE hardening contract: unwritable targets are detectable (the
-  // env validator warns and ignores them instead of aborting a query).
-  EXPECT_FALSE(obs::ValidateWritablePath("/nonexistent-dir/x/trace.json"));
-  EXPECT_FALSE(obs::ValidateWritablePath(""));
-  EXPECT_FALSE(obs::ValidateWritablePath(nullptr));
-  EXPECT_TRUE(obs::ValidateWritablePath(path.c_str()));
-  std::remove(path.c_str());
   EXPECT_FALSE(obs::WriteChromeTrace("/nonexistent-dir/x/trace.json").ok());
+}
+
+// ---- env knobs (util/env.h) -------------------------------------------------
+
+// The one integer rule for every APQ_* knob, the protocol tag and the
+// /debug/profile id: decimal digits in [lo, hi], nothing else.
+TEST(EnvTest, ParseDecimalAcceptsDigitsOnlyInRange) {
+  constexpr uint64_t kMax = UINT64_MAX;
+  struct Row {
+    const char* in;
+    uint64_t lo, hi;
+    bool ok;
+  };
+  const Row rows[] = {
+      {"1", 1, 65535, true},
+      {"65535", 1, 65535, true},
+      {"0", 1, 65535, false},
+      {"65536", 1, 65535, false},
+      {"-1", 1, 65535, false},
+      {"+80", 1, 65535, false},
+      {" 80", 1, 65535, false},
+      {"80x", 1, 65535, false},
+      {"", 1, 65535, false},
+      {nullptr, 1, 65535, false},
+      {"10000000000000000080", 1, 65535, false},
+      {"0", 0, 1, true},
+      {"18446744073709551615", 0, kMax, true},
+      {"18446744073709551616", 0, kMax, false},  // one past 2^64 - 1
+  };
+  for (const Row& r : rows) {
+    const std::string in = r.in != nullptr ? r.in : "(null)";
+    uint64_t out = 7;
+    EXPECT_EQ(ParseDecimal(r.in, r.lo, r.hi, &out), r.ok) << "\"" << in << "\"";
+    if (r.ok) {
+      EXPECT_EQ(std::to_string(out), in);
+    } else {
+      EXPECT_EQ(out, 7u) << "\"" << in << "\" wrote its output";
+    }
+  }
+}
+
+TEST(EnvTest, InvalidIntKnobWarnsOnceAndKeepsTheDefault) {
+  const char* kName = "APQ_TEST_ENV_INT";
+  ASSERT_EQ(::setenv(kName, "12x", 1), 0);
+  ::testing::internal::CaptureStderr();
+  const std::optional<uint64_t> bad = EnvInt(kName, 1, 100);
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_FALSE(bad.has_value());
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find(kName), std::string::npos) << err;
+  EXPECT_NE(err.find("12x"), std::string::npos) << err;
+  EXPECT_NE(err.find("1..100"), std::string::npos) << err;
+
+  ASSERT_EQ(::setenv(kName, "42", 1), 0);
+  EXPECT_EQ(EnvInt(kName, 1, 100), std::optional<uint64_t>(42));
+  ASSERT_EQ(::unsetenv(kName), 0);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(EnvInt(kName, 1, 100).has_value());
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+// APQ_TRACE / APQ_METRICS / APQ_PROFILE: an unwritable target warns and
+// stays off instead of failing a query; the probe never truncates.
+TEST(EnvTest, EnvPathKeepsOnlyWritablePaths) {
+  const char* kName = "APQ_TEST_ENV_PATH";
+  ASSERT_EQ(::unsetenv(kName), 0);
+  EXPECT_EQ(EnvPath(kName), "");
+  ASSERT_EQ(::setenv(kName, "", 1), 0);
+  EXPECT_EQ(EnvPath(kName), "");
+
+  ASSERT_EQ(::setenv(kName, "/nonexistent-dir/x/trace.json", 1), 0);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(EnvPath(kName), "");
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(std::count(err.begin(), err.end(), '\n'), 1) << err;
+  EXPECT_NE(err.find(kName), std::string::npos) << err;
+
+  const std::string path = ::testing::TempDir() + "/obs_test_env_path.json";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("keep", f);
+  std::fclose(f);
+  ASSERT_EQ(::setenv(kName, path.c_str(), 1), 0);
+  EXPECT_EQ(EnvPath(kName), path);
+  char buf[8] = {};
+  f = std::fopen(path.c_str(), "r");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(std::fread(buf, 1, sizeof(buf) - 1, f), 4u);
+  std::fclose(f);
+  EXPECT_STREQ(buf, "keep");
+  std::remove(path.c_str());
+  ASSERT_EQ(::unsetenv(kName), 0);
 }
 
 // ---- scheduler metrics invariants ------------------------------------------
@@ -336,7 +426,7 @@ TEST(TraceDeterminismTest, TpchSuiteBitIdenticalTracingOnAndOff) {
           << name << " workers=" << workers;
 
       // Tracing ON (spans + sampled morsel spans + steal events recording).
-      o.trace = true;
+      obs::SetTraceEnabled(true);
       Evaluator on_ev(o);
       EvalResult on;
       ASSERT_TRUE(on_ev.Execute(plan.ValueOrDie(), &on).ok())

@@ -381,6 +381,11 @@ TEST_F(ParallelAggEvalTest, DeterministicAcrossRepeatedRuns) {
 // ---- wall-clock speedup (gated on real cores) ------------------------------
 
 TEST(ParallelAggSpeedupTest, ParallelGroupByBeatsSequentialOnMulticore) {
+  if (Evaluator::ForcedEnvMorselRows() != 0) {
+    GTEST_SKIP() << "APQ_FORCE_MORSELS gives the default (baseline) "
+                    "evaluator a fleet too, so both sides would run the same "
+                    "configuration; run without the override to compare";
+  }
   if (std::thread::hardware_concurrency() < 4) {
     GTEST_SKIP() << "needs >= 4 hardware threads; correctness/determinism "
                     "suites gate on this machine";

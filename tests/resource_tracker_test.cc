@@ -174,21 +174,6 @@ TEST(ResourceTrackerTest, BillTaskClampsAndAccumulates) {
   obs::FinishQuery(id);
 }
 
-// ---- APQ_QUERY_LOG parsing --------------------------------------------------
-
-TEST(ResourceTrackerTest, ParseQueryLogCapacityIsStrict) {
-  EXPECT_EQ(obs::ParseQueryLogCapacity("64"), 64u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("1"), 1u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("1048576"), 1048576u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("0"), 0u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("1048577"), 0u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("-1"), 0u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("64x"), 0u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity("abc"), 0u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity(""), 0u);
-  EXPECT_EQ(obs::ParseQueryLogCapacity(nullptr), 0u);
-}
-
 // ---- evaluator-level zero drift and CPU attribution -------------------------
 
 // Execute a morselized TPC-H query under an owning query id at every worker

@@ -168,6 +168,9 @@ TEST(ProtocolTest, RejectsMalformedLinesWithoutCrashing) {
   EXPECT_FALSE(ParseRequest("GET Q6", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 tag=abc", &req).ok());
+  // Tags are digits only (util/env.h ParseDecimal), so they echo verbatim.
+  EXPECT_FALSE(ParseRequest("RUN Q6 tag=-1", &req).ok());
+  EXPECT_FALSE(ParseRequest("RUN Q6 tag=+7", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 sel=1.5", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 sel=-0.1", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 bogus=1", &req).ok());
@@ -195,19 +198,7 @@ TEST(ProtocolTest, ScalarSerializationRoundTripsExactDoubles) {
   EXPECT_EQ(count, 3);
 }
 
-// ---- service config hardening ----------------------------------------------
-
-TEST(ServiceConfigTest, ParseServiceLimitAcceptsRangeRejectsGarbage) {
-  EXPECT_EQ(ParseServiceLimit("4", 1, 256), 4);
-  EXPECT_EQ(ParseServiceLimit("1", 1, 256), 1);
-  EXPECT_EQ(ParseServiceLimit("256", 1, 256), 256);
-  EXPECT_EQ(ParseServiceLimit("0", 1, 256), -1);
-  EXPECT_EQ(ParseServiceLimit("257", 1, 256), -1);
-  EXPECT_EQ(ParseServiceLimit("abc", 1, 256), -1);
-  EXPECT_EQ(ParseServiceLimit("4x", 1, 256), -1);
-  EXPECT_EQ(ParseServiceLimit("", 1, 256), -1);
-  EXPECT_EQ(ParseServiceLimit(nullptr, 1, 256), -1);
-}
+// ---- service config ---------------------------------------------------------
 
 TEST(ServiceConfigTest, HeavyClassificationMatchesThePaperSplit) {
   EXPECT_FALSE(IsHeavyQuery("Q6"));
@@ -337,16 +328,19 @@ TEST(QueryServiceTest, TypedErrorsForParseAndPlanFailures) {
 
   Client c(svc.port());
   ASSERT_TRUE(c.connected());
-  c.Send("FLY Q6\nRUN Q99 tag=5\nRUN Q9 sel=0.5 tag=6\nRUN Q6 tag=7\n");
-  const auto blocks = SplitBlocks(c.ReadResponses(4));
-  ASSERT_EQ(blocks.size(), 4u);
+  c.Send("FLY Q6\nRUN Q6 tag=-1\nRUN Q99 tag=5\nRUN Q9 sel=0.5 tag=6\n"
+         "RUN Q6 tag=7\n");
+  const auto blocks = SplitBlocks(c.ReadResponses(5));
+  ASSERT_EQ(blocks.size(), 5u);
   EXPECT_EQ(blocks[0].rfind("ERR PARSE tag=0 ", 0), 0u) << blocks[0];
-  EXPECT_EQ(blocks[1].rfind("ERR PLAN tag=5 ", 0), 0u) << blocks[1];
-  EXPECT_NE(blocks[1].find("unknown query 'Q99'"), std::string::npos);
-  EXPECT_EQ(blocks[2].rfind("ERR PLAN tag=6 ", 0), 0u) << blocks[2];
-  EXPECT_NE(blocks[2].find("sel= is only valid for Q6"), std::string::npos);
+  EXPECT_EQ(blocks[1].rfind("ERR PARSE tag=0 ", 0), 0u) << blocks[1];
+  EXPECT_NE(blocks[1].find("bad tag '-1'"), std::string::npos) << blocks[1];
+  EXPECT_EQ(blocks[2].rfind("ERR PLAN tag=5 ", 0), 0u) << blocks[2];
+  EXPECT_NE(blocks[2].find("unknown query 'Q99'"), std::string::npos);
+  EXPECT_EQ(blocks[3].rfind("ERR PLAN tag=6 ", 0), 0u) << blocks[3];
+  EXPECT_NE(blocks[3].find("sel= is only valid for Q6"), std::string::npos);
   // The session survives every error and still serves real queries.
-  EXPECT_EQ(blocks[3].rfind("OK id=", 0), 0u) << blocks[3];
+  EXPECT_EQ(blocks[4].rfind("OK id=", 0), 0u) << blocks[4];
   svc.Stop();
 }
 

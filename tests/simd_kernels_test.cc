@@ -311,7 +311,9 @@ class SimdEvaluatorTest : public ::testing::Test {
     keys_ = Column::MakeInt64("keys", std::move(keys));
     floats_ = Column::MakeFloat64("floats", std::move(fv));
     strs_ = Column::MakeString("strs", sv);
-    scalar_.set_use_kernels(false);
+    ExecOptions scalar;
+    scalar.use_kernels = false;
+    scalar_.set_options(scalar);
   }
 
   QueryPlan Workload() {

@@ -4,9 +4,10 @@
 Usage:
     tools/knob_doc_check.py [--src DIR] [--doc FILE]
 
-Scans the C++ sources for environment-knob reads — `getenv("APQ_...")` and
-the hardened-path wrapper `ValidatedEnvPath("APQ_...")` — and diffs the
-result against the knob names documented in docs/reference.md. The check is
+Scans the C++ sources for environment-knob reads — the util/env.h readers
+`EnvInt("APQ_...")` and `EnvPath("APQ_...")`, and a plain
+`getenv("APQ_...")` — and diffs the result against the knob names
+documented in docs/reference.md. The check is
 bidirectional: an undocumented knob fails (someone added a knob without
 telling operators), and a documented-but-gone knob fails too (the reference
 would be lying). Registered as a ctest (knob_doc_check_py), so the build
@@ -22,11 +23,11 @@ import os
 import re
 import sys
 
-# A knob read is one of the two idioms every APQ_* env access uses. String
+# A knob read is one of the idioms every APQ_* env access uses. String
 # literals only: concatenated or computed names would defeat any grep, and
 # the codebase deliberately has none.
 READ_RE = re.compile(
-    r'(?:getenv|ValidatedEnvPath)\s*\(\s*"(APQ_[A-Z0-9_]+)"')
+    r'(?:getenv|EnvInt|EnvPath)\s*\(\s*"(APQ_[A-Z0-9_]+)"')
 
 # A knob is "documented" when reference.md names it as inline code. This is
 # deliberately stricter than a bare-word mention: prose like "unlike
