@@ -13,15 +13,6 @@ namespace apq {
 
 namespace {
 
-// Live schedulers, for the /debug/workers provider. A scheduler's dtor
-// unregisters (under this mutex) before its members are destroyed, so
-// WorkersJson never reads a freed instance.
-std::mutex g_sched_mu;
-std::vector<const MorselScheduler*>& SchedRegistry() {
-  static auto* v = new std::vector<const MorselScheduler*>();
-  return *v;
-}
-
 // Wall time this thread has spent in ParallelFor calls. RunTask reads what a
 // task added and subtracts it from the task's busy time, so a plan-node task
 // counts only its own work: the morsel tasks it runs as a caller are counted
@@ -75,11 +66,7 @@ MorselScheduler::MorselScheduler(int num_workers) {
     m_worker_busy_.push_back(reg.GetCounter(
         "apq_sched_worker_busy_ns_total{worker=\"" + idx + "\"}"));
   }
-  {
-    std::lock_guard<std::mutex> lock(g_sched_mu);
-    SchedRegistry().push_back(this);
-  }
-  obs::SetWorkersProvider(&MorselScheduler::WorkersJson);
+  obs::Publish("/debug/workers", this, [this] { return DebugJson(); });
   workers_.reserve(num_workers);
   for (int i = 0; i < num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -87,20 +74,13 @@ MorselScheduler::MorselScheduler(int num_workers) {
 }
 
 MorselScheduler::~MorselScheduler() {
+  obs::Unpublish(this);
   {
     std::lock_guard<std::mutex> lock(idle_mu_);
     stop_ = true;
   }
   idle_cv_.notify_all();
   for (auto& w : workers_) w.join();
-  std::lock_guard<std::mutex> lock(g_sched_mu);
-  auto& v = SchedRegistry();
-  for (auto it = v.begin(); it != v.end(); ++it) {
-    if (*it == this) {
-      v.erase(it);
-      break;
-    }
-  }
 }
 
 double MorselScheduler::RunTask(const Task& t, int worker) {
@@ -350,15 +330,7 @@ std::string MorselScheduler::DebugJson() const {
 }
 
 std::string MorselScheduler::WorkersJson() {
-  std::ostringstream os;
-  os << "{\"schedulers\":[";
-  std::lock_guard<std::mutex> lock(g_sched_mu);
-  const auto& v = SchedRegistry();
-  for (size_t i = 0; i < v.size(); ++i) {
-    os << (i == 0 ? "" : ",") << v[i]->DebugJson();
-  }
-  os << "]}";
-  return os.str();
+  return obs::PublishedJson("/debug/workers");
 }
 
 const std::shared_ptr<MorselScheduler>& MorselScheduler::Shared() {

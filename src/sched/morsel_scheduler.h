@@ -128,8 +128,8 @@ class MorselScheduler {
   std::string DebugJson() const;
 
   /// The /debug/workers body: every live scheduler's DebugJson under
-  /// {"schedulers":[...]}. Installed as the HTTP exporter's workers
-  /// provider by the first scheduler constructed.
+  /// {"schedulers":[...]}. Each scheduler publishes its document there
+  /// (obs::Publish) for its lifetime.
   static std::string WorkersJson();
 
   /// A process-wide scheduler (hardware-sized) for callers that want the

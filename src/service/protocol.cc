@@ -30,7 +30,7 @@ bool ParseFrac(const std::string& s, double* out) {
   errno = 0;
   const double v = std::strtod(s.c_str(), &end);
   if (errno != 0 || end == s.c_str() || *end != '\0') return false;
-  if (v < 0.0 || v > 1.0) return false;
+  if (!(v >= 0.0 && v <= 1.0)) return false;  // NaN fails too
   *out = v;
   return true;
 }

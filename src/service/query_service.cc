@@ -1,15 +1,7 @@
 #include "service/query_service.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <sstream>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "engine/engine.h"
 #include "obs/http_exporter.h"
@@ -19,36 +11,6 @@
 
 namespace apq {
 namespace service {
-
-namespace {
-
-// Reader-loop poll period: the stop flag is observed within this bound
-// (mirrors the HTTP exporter's serve loop).
-constexpr int kPollMs = 100;
-// A request line longer than this is garbage; drop the connection.
-constexpr size_t kMaxLineBytes = 4096;
-
-// Live services, for the /debug/service provider (same pattern as
-// MorselScheduler::WorkersJson).
-std::mutex& ServicesMu() {
-  static std::mutex* mu = new std::mutex();
-  return *mu;
-}
-std::vector<QueryService*>& Services() {
-  static std::vector<QueryService*>* v = new std::vector<QueryService*>();
-  return *v;
-}
-
-void SockWriteAll(int fd, const std::string& data) {
-  size_t off = 0;
-  while (off < data.size()) {
-    ssize_t n = ::send(fd, data.data() + off, data.size() - off, MSG_NOSIGNAL);
-    if (n <= 0) return;  // client went away; nothing to salvage
-    off += static_cast<size_t>(n);
-  }
-}
-
-}  // namespace
 
 // ---- config / env knobs -----------------------------------------------------
 
@@ -74,35 +36,34 @@ bool IsHeavyQuery(const std::string& name) {
   return !(name == "Q6" || name == "Q14");
 }
 
-// ---- session / pending request ---------------------------------------------
-
-struct QueryService::Session {
-  explicit Session(int fd_in) : fd(fd_in) {}
-  ~Session() {
-    ::shutdown(fd, SHUT_RDWR);
-    ::close(fd);
-  }
-  Session(const Session&) = delete;
-  Session& operator=(const Session&) = delete;
-
-  void Write(const std::string& data) {
-    std::lock_guard<std::mutex> lock(write_mu);
-    SockWriteAll(fd, data);
-  }
-
-  const int fd;
-  std::string inbuf;     // reader thread only
-  std::mutex write_mu;   // whole response blocks are written under this
-};
+// ---- pending request / lifecycle -------------------------------------------
 
 struct QueryService::Pending {
   uint64_t id = 0;
-  std::shared_ptr<Session> session;
+  uint64_t conn = 0;
   Request req;
   double arrival_ns = 0;
 };
 
-// ---- lifecycle --------------------------------------------------------------
+QueryService::QueryService()
+    : server_(
+          [this](uint64_t conn, std::string* in, bool) {
+            // The line splitter: every complete line is one request; a
+            // trailing partial line waits for more input.
+            size_t start = 0, nl;
+            while ((nl = in->find('\n', start)) != std::string::npos) {
+              std::string line = in->substr(start, nl - start);
+              start = nl + 1;
+              if (!line.empty() && line.back() == '\r') line.pop_back();
+              if (!line.empty()) HandleLine(conn, line);
+            }
+            in->erase(0, start);
+            return true;
+          },
+          [this](size_t open) {
+            open_sessions_ = open;
+            m_sessions_->Set(static_cast<int64_t>(open));
+          }) {}
 
 QueryService::~QueryService() { Stop(); }
 
@@ -114,7 +75,7 @@ Status QueryService::Start(std::shared_ptr<Catalog> catalog,
                            ServiceConfig config) {
   if (running()) {
     return Status::AlreadyExists("service already running on 127.0.0.1:" +
-                                 std::to_string(port_));
+                                 std::to_string(port()));
   }
   if (catalog == nullptr) {
     return Status::InvalidArgument("service needs a catalog");
@@ -136,7 +97,6 @@ Status QueryService::Start(std::shared_ptr<Catalog> catalog,
     plans_.emplace(name, plan.MoveValueOrDie());
   }
 
-  scheduler_ = std::make_shared<MorselScheduler>(config_.morsel_workers);
   AdmissionConfig acfg;
   acfg.max_concurrent = config_.max_concurrent;
   acfg.max_queue_depth = config_.max_queue_depth;
@@ -153,139 +113,42 @@ Status QueryService::Start(std::shared_ptr<Catalog> catalog,
   m_queue_wait_ = reg.GetHistogram("apq_service_queue_wait_ns",
                                    obs::Histogram::LatencyBoundsNs());
 
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(std::string("socket(): ") + std::strerror(errno));
-  }
-  int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(config_.port));
-  if (::bind(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 64) != 0) {
-    Status st = Status::Internal("bind/listen on 127.0.0.1:" +
-                                 std::to_string(config_.port) + ": " +
-                                 std::strerror(errno));
-    ::close(fd);
-    return st;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) == 0) {
-    port_ = ntohs(addr.sin_port);
-  } else {
-    port_ = config_.port;
-  }
-  listen_fd_ = fd;
-
-  running_.store(true, std::memory_order_release);
-  reader_ = std::thread([this] { ReaderLoop(); });
+  // Bind before the fleet and the executors exist, so a taken port leaves
+  // nothing running. The loop may hand over requests at once; they queue
+  // until the executors below start claiming.
+  APQ_RETURN_NOT_OK(server_.Start(config_.port));
+  scheduler_ = std::make_shared<MorselScheduler>(config_.morsel_workers);
   executors_.reserve(static_cast<size_t>(config_.max_concurrent));
   for (int i = 0; i < config_.max_concurrent; ++i) {
     executors_.emplace_back([this] { ExecutorLoop(); });
   }
-
-  {
-    std::lock_guard<std::mutex> lock(ServicesMu());
-    Services().push_back(this);
-  }
-  obs::SetServiceProvider(&QueryService::ServiceJson);
+  obs::Publish("/debug/service", this, [this] { return DebugJson(); });
   return Status::OK();
 }
 
 void QueryService::Stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  {
-    std::lock_guard<std::mutex> lock(ServicesMu());
-    auto& v = Services();
-    for (auto it = v.begin(); it != v.end(); ++it) {
-      if (*it == this) {
-        v.erase(it);
-        break;
-      }
-    }
-  }
+  if (!running()) return;
+  obs::Unpublish(this);
   // New arrivals shed from here on; executors drain what is already queued,
-  // then exit.
+  // answer it, then exit. Only then do the sessions close.
   admission_->Shutdown();
-  ::shutdown(listen_fd_, SHUT_RDWR);
-  if (reader_.joinable()) reader_.join();
-  for (auto& t : executors_) {
-    if (t.joinable()) t.join();
-  }
+  for (auto& t : executors_) t.join();
   executors_.clear();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  port_ = 0;
+  server_.Stop();
   std::lock_guard<std::mutex> lock(mu_);
-  sessions_.clear();  // destructors close the fds
   pending_.clear();
-  if (m_sessions_ != nullptr) m_sessions_->Set(0);
 }
 
-// ---- reader -----------------------------------------------------------------
-
-void QueryService::ReaderLoop() {
-  while (running_.load(std::memory_order_acquire)) {
-    std::vector<pollfd> pfds;
-    std::vector<std::shared_ptr<Session>> polled;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      pfds.reserve(sessions_.size() + 1);
-      polled.reserve(sessions_.size());
-      pfds.push_back({listen_fd_, POLLIN, 0});
-      for (const auto& [fd, session] : sessions_) {
-        pfds.push_back({fd, POLLIN, 0});
-        polled.push_back(session);
-      }
-    }
-    const int pr = ::poll(pfds.data(), pfds.size(), kPollMs);
-    if (pr <= 0) continue;
-
-    if ((pfds[0].revents & POLLIN) != 0) {
-      const int fd = ::accept(listen_fd_, nullptr, nullptr);
-      if (fd >= 0) {
-        // Bound both directions so a stalled client can neither wedge the
-        // reader nor an executor writing a response.
-        timeval tv{5, 0};
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-        std::lock_guard<std::mutex> lock(mu_);
-        sessions_.emplace(fd, std::make_shared<Session>(fd));
-        m_sessions_->Set(static_cast<int64_t>(sessions_.size()));
-      }
-    }
-
-    for (size_t i = 1; i < pfds.size(); ++i) {
-      if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
-      const std::shared_ptr<Session>& session = polled[i - 1];
-      char buf[4096];
-      const ssize_t n = ::recv(session->fd, buf, sizeof(buf), 0);
-      bool drop = n <= 0;
-      if (n > 0) {
-        session->inbuf.append(buf, static_cast<size_t>(n));
-        size_t nl;
-        while ((nl = session->inbuf.find('\n')) != std::string::npos) {
-          std::string line = session->inbuf.substr(0, nl);
-          session->inbuf.erase(0, nl + 1);
-          if (!line.empty() && line.back() == '\r') line.pop_back();
-          if (!line.empty()) HandleLine(session, line);
-        }
-        if (session->inbuf.size() > kMaxLineBytes) drop = true;  // garbage
-      }
-      if (drop) {
-        std::lock_guard<std::mutex> lock(mu_);
-        sessions_.erase(session->fd);  // in-flight requests keep it alive
-        m_sessions_->Set(static_cast<int64_t>(sessions_.size()));
-      }
-    }
-  }
+void QueryService::Answer(uint64_t conn, const std::string& block,
+                          bool owed) {
+  server_.Send(conn, block);
+  if (owed) server_.Hold(conn, -1);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++responses_total_;
+  m_responses_->Inc();
 }
 
-void QueryService::HandleLine(const std::shared_ptr<Session>& session,
-                              const std::string& line) {
+void QueryService::HandleLine(uint64_t conn, const std::string& line) {
   m_requests_->Inc();
   Request req;
   const Status st = ParseRequest(line, &req);
@@ -294,10 +157,7 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
     ++requests_total_;
   }
   if (!st.ok()) {
-    session->Write(ErrResponse(ErrType::kParse, req.tag, st.message()));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++responses_total_;
-    m_responses_->Inc();
+    Answer(conn, ErrResponse(ErrType::kParse, req.tag, st.message()), false);
     return;
   }
   const bool known = plans_.count(req.query) > 0;
@@ -306,18 +166,17 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
     for (const std::string& n : Tpch::QueryNames()) {
       names += (names.empty() ? "" : "|") + n;
     }
-    session->Write(ErrResponse(
-        ErrType::kPlan, req.tag,
-        !known ? "unknown query '" + req.query + "' (expected " + names + ")"
-               : "sel= is only valid for Q6"));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++responses_total_;
-    m_responses_->Inc();
+    Answer(conn,
+           ErrResponse(ErrType::kPlan, req.tag,
+                       !known ? "unknown query '" + req.query +
+                                    "' (expected " + names + ")"
+                              : "sel= is only valid for Q6"),
+           false);
     return;
   }
 
   auto p = std::make_shared<Pending>();
-  p->session = session;
+  p->conn = conn;
   p->req = req;
   p->arrival_ns = NowNs();
   {
@@ -325,6 +184,7 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
     p->id = next_request_id_++;
     pending_.emplace(p->id, p);
   }
+  server_.Hold(conn, 1);  // owed even if the client closes its side first
   const AdmitResult admit =
       admission_->Enqueue(p->id, IsHeavyQuery(req.query), p->arrival_ns);
   if (admit == AdmitResult::kShed) {
@@ -332,15 +192,14 @@ void QueryService::HandleLine(const std::shared_ptr<Session>& session,
       std::lock_guard<std::mutex> lock(mu_);
       pending_.erase(p->id);
     }
-    session->Write(ErrResponse(
-        ErrType::kShed, req.tag,
-        "admission queue full (max_queue_depth=" +
-            std::to_string(config_.max_queue_depth) +
-            ", max_concurrent=" + std::to_string(config_.max_concurrent) +
-            "); retry later"));
-    std::lock_guard<std::mutex> lock(mu_);
-    ++responses_total_;
-    m_responses_->Inc();
+    Answer(conn,
+           ErrResponse(ErrType::kShed, req.tag,
+                       "admission queue full (max_queue_depth=" +
+                           std::to_string(config_.max_queue_depth) +
+                           ", max_concurrent=" +
+                           std::to_string(config_.max_concurrent) +
+                           "); retry later"),
+           true);
   }
 }
 
@@ -407,11 +266,9 @@ void QueryService::Execute(Engine& engine, const Pending& p,
   if (p.req.sel >= 0.0) {
     auto sp = Tpch::Q6Selectivity(*catalog_, p.req.sel);
     if (!sp.ok()) {
-      p.session->Write(
-          ErrResponse(ErrType::kPlan, p.req.tag, sp.status().ToString()));
-      std::lock_guard<std::mutex> lock(mu_);
-      ++responses_total_;
-      m_responses_->Inc();
+      Answer(p.conn,
+             ErrResponse(ErrType::kPlan, p.req.tag, sp.status().ToString()),
+             true);
       return;
     }
     sel_plan = sp.MoveValueOrDie();
@@ -432,12 +289,10 @@ void QueryService::Execute(Engine& engine, const Pending& p,
         ErrResponse(ErrType::kExec, p.req.tag, run.status().ToString());
     failed = true;
   }
-  p.session->Write(response);
+  Answer(p.conn, response, true);
   m_latency_->Observe(NowNs() - p.arrival_ns);
-  std::lock_guard<std::mutex> lock(mu_);
-  ++responses_total_;
-  m_responses_->Inc();
   if (failed) {
+    std::lock_guard<std::mutex> lock(mu_);
     ++exec_errors_total_;
     m_exec_errors_->Inc();
   }
@@ -448,8 +303,8 @@ void QueryService::Execute(Engine& engine, const Pending& p,
 ServiceStats QueryService::Stats() const {
   ServiceStats s;
   s.admission = admission_ ? admission_->Stats() : AdmissionStats();
+  s.sessions = open_sessions_;
   std::lock_guard<std::mutex> lock(mu_);
-  s.sessions = sessions_.size();
   s.requests_total = requests_total_;
   s.responses_total = responses_total_;
   s.exec_errors_total = exec_errors_total_;
@@ -461,7 +316,7 @@ std::string QueryService::DebugJson() const {
   const ServiceStats s = Stats();
   std::ostringstream os;
   os.precision(15);
-  os << "{\"port\":" << port_ << ",\"sessions\":" << s.sessions
+  os << "{\"port\":" << port() << ",\"sessions\":" << s.sessions
      << ",\"fleet_workers\":" << fleet_workers()
      << ",\"sched_pending\":" << (scheduler_ ? scheduler_->pending() : 0)
      << ",\"max_concurrent\":" << config_.max_concurrent
@@ -489,19 +344,7 @@ std::string QueryService::DebugJson() const {
 }
 
 std::string QueryService::ServiceJson() {
-  std::ostringstream os;
-  os << "{\"services\":[";
-  {
-    std::lock_guard<std::mutex> lock(ServicesMu());
-    bool first = true;
-    for (QueryService* svc : Services()) {
-      if (!first) os << ",";
-      first = false;
-      os << svc->DebugJson();
-    }
-  }
-  os << "]}";
-  return os.str();
+  return obs::PublishedJson("/debug/service");
 }
 
 }  // namespace service

@@ -2,13 +2,18 @@
 //
 // A QueryService binds a local TCP port (127.0.0.1 only, like the
 // introspection endpoint) and accepts the line protocol of
-// service/protocol.h from many concurrent client sessions. One dedicated
-// reader thread multiplexes every session with poll() — accepting new
-// connections, splitting received bytes into request lines, and parsing
-// them — while a fleet of exactly max_concurrent executor threads runs the
-// admitted queries, each on its own Engine, all multiplexing ONE shared
-// morsel-scheduler worker fleet (the production configuration of
-// examples/concurrent_workload.cpp).
+// service/protocol.h from many concurrent client sessions. The shared
+// socket loop of util/tcp_server.h multiplexes every session on one thread
+// — accepting connections, handing over received bytes, which the service
+// splits into request lines and parses there — while a fleet of exactly
+// max_concurrent executor threads runs the admitted queries, each on its
+// own Engine, all multiplexing ONE shared morsel-scheduler worker fleet
+// (the production configuration of examples/concurrent_workload.cpp).
+//
+// No thread waits on a client: every response block is queued whole on its
+// session (TcpServer::Send), and a session is closed once more than 4 MiB of
+// its answers wait unsent or its request line passes 4096 bytes. A client
+// that closes its sending side still gets every answer it is owed.
 //
 // Admission control (service/admission.h) sits between the two:
 //
@@ -29,11 +34,12 @@
 //
 // Observability: apq_service_* metrics in the global registry (scraped via
 // /metrics), and /debug/service on the HTTP exporter serves per-service
-// admission state (QueryService::ServiceJson, installed via
-// obs::SetServiceProvider), validated by tools/service_check.py.
+// admission state (each running service publishes its DebugJson through
+// obs::Publish), validated by tools/service_check.py.
 #ifndef APQ_SERVICE_QUERY_SERVICE_H_
 #define APQ_SERVICE_QUERY_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -44,6 +50,7 @@
 #include "service/admission.h"
 #include "service/protocol.h"
 #include "util/status.h"
+#include "util/tcp_server.h"
 #include "workload/tpch.h"
 
 namespace apq {
@@ -99,24 +106,24 @@ struct ServiceStats {
 /// \brief The multi-session query server.
 class QueryService {
  public:
-  QueryService() = default;
+  QueryService();
   ~QueryService();
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Binds 127.0.0.1:config.port, builds the workload plans against
-  /// `catalog`, spawns the reader and executor threads, and registers this
-  /// instance with /debug/service. On failure nothing is running and the
-  /// Status says why.
+  /// Builds the workload plans against `catalog`, binds 127.0.0.1:
+  /// config.port, then spawns the fleet and executor threads and publishes
+  /// on /debug/service. On failure nothing is running and the Status says
+  /// why.
   Status Start(std::shared_ptr<Catalog> catalog, ServiceConfig config);
 
-  /// Drains and stops: sheds new arrivals, finishes claimed queries, joins
-  /// every thread, closes every session. Safe to call twice.
+  /// Drains and stops: sheds new arrivals, answers every queued query,
+  /// then closes every session. Safe to call twice.
   void Stop();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
+  bool running() const { return server_.running(); }
   /// The bound port (resolved for ephemeral requests); 0 when not running.
-  int port() const { return port_; }
+  int port() const { return server_.port(); }
   const ServiceConfig& config() const { return config_; }
   /// Workers in the shared morsel fleet this service dispatches onto.
   int fleet_workers() const;
@@ -127,22 +134,21 @@ class QueryService {
   std::string DebugJson() const;
 
   /// The /debug/service body: every running service's DebugJson under
-  /// {"services":[...]}. Installed as the HTTP exporter's service provider
-  /// by the first Start.
+  /// {"services":[...]}.
   static std::string ServiceJson();
 
  private:
-  struct Session;
   struct Pending;
 
-  void ReaderLoop();
   void ExecutorLoop();
-  /// Parses and admits one request line from `session` (writes typed errors
-  /// for parse/plan/shed failures directly).
-  void HandleLine(const std::shared_ptr<Session>& session,
-                  const std::string& line);
-  /// Runs one claimed request on `engine` and writes its response.
+  /// Parses and admits one request line from session `conn` (answers
+  /// parse/plan/shed failures directly).
+  void HandleLine(uint64_t conn, const std::string& line);
+  /// Runs one claimed request on `engine` and answers it.
   void Execute(Engine& engine, const Pending& p, double queue_wait_ns);
+  /// Queues one response block on `conn` and counts it. `owed` releases
+  /// the session hold HandleLine took for an admitted request.
+  void Answer(uint64_t conn, const std::string& block, bool owed);
 
   ServiceConfig config_;
   std::shared_ptr<Catalog> catalog_;
@@ -150,14 +156,10 @@ class QueryService {
   std::map<std::string, QueryPlan> plans_;  // workload queries by name
   std::unique_ptr<AdmissionController> admission_;
 
-  std::atomic<bool> running_{false};
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::thread reader_;
   std::vector<std::thread> executors_;
+  std::atomic<size_t> open_sessions_{0};  // set by the socket loop
 
-  mutable std::mutex mu_;  // sessions_, pending_, counters below
-  std::map<int, std::shared_ptr<Session>> sessions_;  // by fd
+  mutable std::mutex mu_;  // pending_, counters below
   std::map<uint64_t, std::shared_ptr<Pending>> pending_;  // by admission id
   uint64_t next_request_id_ = 1;
   uint64_t requests_total_ = 0;
@@ -170,9 +172,11 @@ class QueryService {
   obs::Counter* m_exec_errors_ = nullptr;
   obs::Counter* m_degraded_ = nullptr;
   obs::Gauge* m_sessions_ = nullptr;
-  obs::Histogram* m_latency_ = nullptr;     // arrival -> response written
+  obs::Histogram* m_latency_ = nullptr;     // arrival -> response queued
   obs::Histogram* m_queue_wait_ = nullptr;  // same instrument the controller
                                             // observes; read for percentiles
+
+  TcpServer server_;  // last: its loop thread calls into the members above
 };
 
 }  // namespace service

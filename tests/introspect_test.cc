@@ -1,6 +1,7 @@
 // Live introspection: query-id allocation and scoping, the recent-query
-// log, structured profile JSON, the embedded HTTP exporter (routing table
-// and a live socket round-trip), and the engine-level contracts — lineage
+// log, structured profile JSON, the embedded HTTP exporter (routing table,
+// seeded request mutations, a live socket round-trip, and no client
+// stalling another), and the engine-level contracts — lineage
 // entries match AdaptiveOutcome run counts exactly, error paths leave a
 // metric trail, and introspection never perturbs query results.
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -18,6 +20,7 @@
 
 #include "engine/engine.h"
 #include "exec/compare.h"
+#include "mutate.h"
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
@@ -261,7 +264,7 @@ TEST(HttpExporterTest, RoutingTableServesEveryEndpoint) {
   EXPECT_EQ(status, 200);
 
   // Worker telemetry: always answers, with an empty scheduler list until a
-  // MorselScheduler installs itself as the provider.
+  // MorselScheduler publishes its document there.
   Handle("/debug/workers", &status, &body);
   EXPECT_EQ(status, 200);
   EXPECT_NE(body.find("\"schedulers\":["), std::string::npos);
@@ -327,11 +330,50 @@ TEST(HttpExporterTest, MetricsExposeBuildInfoAfterEvaluatorInit) {
   EXPECT_NE(line.find("} 1"), std::string::npos) << line;
 }
 
+// Seeded mutations of valid requests through the framing function: every
+// answer is well-framed HTTP, and only GET or HEAD can earn a 200.
+TEST(HttpExporterTest, SeededMutationsAlwaysGetAWellFramedAnswer) {
+  const std::vector<std::string> seeds = {
+      "GET /healthz HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n",
+      "HEAD /healthz HTTP/1.1\r\n\r\n",
+      "GET /debug/profile/1 HTTP/1.0\n\n",
+      "GET /debug/workers?x=1 HTTP/1.1\r\n\r\n",
+      "GET /debug/service HTTP/1.1\r\n\r\n",
+      "GET /metrics HTTP/1.1\r\n\r\n",
+      "POST /healthz HTTP/1.1\r\n\r\n"};
+  Rng rng(16);
+  for (int i = 0; i < 20000; ++i) {
+    const std::string req = Mutate(seeds[rng.Uniform(seeds.size())], rng);
+    const std::string resp = obs::HttpExporter::Respond(req);
+    ASSERT_EQ(resp.rfind("HTTP/1.1 ", 0), 0u) << req;
+    const size_t head_end = resp.find("\r\n\r\n");
+    ASSERT_NE(head_end, std::string::npos) << req;
+    const std::string head = resp.substr(0, head_end);
+    const std::string body = resp.substr(head_end + 4);
+    const size_t cl = head.find("\r\nContent-Length: ");
+    ASSERT_NE(cl, std::string::npos) << head;
+    const size_t length = std::stoul(head.substr(cl + 18));
+    // The request-line method, as the server reads it.
+    const size_t sp1 = req.find(' ');
+    const bool has_path =
+        sp1 != std::string::npos && req.find(' ', sp1 + 1) != std::string::npos;
+    const std::string method = has_path ? req.substr(0, sp1) : "";
+    if (method == "HEAD") {
+      EXPECT_TRUE(body.empty()) << req;
+    } else {
+      EXPECT_EQ(body.size(), length) << req;
+    }
+    if (resp.rfind("HTTP/1.1 200 ", 0) == 0) {
+      EXPECT_TRUE(method == "GET" || method == "HEAD") << req;
+    }
+  }
+}
+
 // ---- HTTP exporter: live socket round-trip ----------------------------------
 
-std::string HttpGet(int port, const std::string& path) {
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
+  if (fd < 0) return -1;
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
@@ -339,8 +381,14 @@ std::string HttpGet(int port, const std::string& path) {
   addr.sin_port = htons(static_cast<uint16_t>(port));
   if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
     ::close(fd);
-    return "";
+    return -1;
   }
+  return fd;
+}
+
+std::string HttpGet(int port, const std::string& path) {
+  const int fd = Connect(port);
+  if (fd < 0) return "";
   const std::string req =
       "GET " + path + " HTTP/1.1\r\nHost: 127.0.0.1\r\n\r\n";
   (void)!::send(fd, req.data(), req.size(), 0);
@@ -384,6 +432,37 @@ TEST(HttpExporterTest, ServesOverARealSocket) {
   obs::HttpExporter again;
   ASSERT_TRUE(again.Start(0).ok());
   again.Stop();
+}
+
+TEST(HttpExporterTest, NoClientStallsAnother) {
+  obs::HttpExporter server;
+  ASSERT_TRUE(server.Start(0).ok());
+
+  // A client that connects and never sends a byte.
+  const int idle = Connect(server.port());
+  ASSERT_GE(idle, 0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // accepted
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string health = HttpGet(server.port(), "/healthz");
+  const double secs = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  EXPECT_NE(health.find("HTTP/1.1 200 OK"), std::string::npos) << health;
+  EXPECT_LT(secs, 1.0);
+
+  // A request that passes the input cap without its blank line is closed
+  // without an answer.
+  const int big = Connect(server.port());
+  ASSERT_GE(big, 0);
+  timeval tv{5, 0};
+  ::setsockopt(big, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  const std::string junk = "GET /" + std::string(8000, 'x');
+  (void)!::send(big, junk.data(), junk.size(), MSG_NOSIGNAL);
+  char c;
+  EXPECT_LE(::recv(big, &c, 1, 0), 0);
+  ::close(big);
+  ::close(idle);
+  server.Stop();
 }
 
 // ---- engine integration -----------------------------------------------------

@@ -2,8 +2,9 @@
 // priority aging, shedding) driven with synthetic clocks, the wire protocol
 // (parse and serialize), the shared admission constants, and live socket
 // sessions against a running QueryService — round-trips, pipelined FIFO,
-// burst shedding with a surviving server, and the determinism contract
-// (served bytes identical to direct Engine::RunPlan at 1/2/4/8 workers).
+// burst shedding with a surviving server, a client that stops reading, a
+// half-closed client, a failed Start, and the determinism contract (served
+// bytes identical to direct Engine::RunPlan at 1/2/4/8 workers).
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "mutate.h"
 #include "sched/morsel_scheduler.h"
 #include "service/admission.h"
 #include "service/admission_limits.h"
@@ -173,8 +175,29 @@ TEST(ProtocolTest, RejectsMalformedLinesWithoutCrashing) {
   EXPECT_FALSE(ParseRequest("RUN Q6 tag=+7", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 sel=1.5", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 sel=-0.1", &req).ok());
+  EXPECT_FALSE(ParseRequest("RUN Q6 sel=nan", &req).ok());
+  EXPECT_FALSE(ParseRequest("RUN Q6 sel=NAN", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 bogus=1", &req).ok());
   EXPECT_FALSE(ParseRequest("RUN Q6 =1", &req).ok());
+}
+
+// Seeded mutations of valid request lines: the parser never crashes, and
+// every line it accepts carries a sel that is absent or within [0, 1].
+TEST(ProtocolTest, SeededMutationsKeepAcceptedSelInRange) {
+  const std::vector<std::string> seeds = {
+      "RUN Q6", "RUN Q9 tag=42", "RUN Q6 tag=7 sel=0.25",
+      "RUN Q6 sel=1 tag=18446744073709551615", "RUN Q14 sel=0.5e-1"};
+  Rng rng(16);
+  int accepted = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const std::string line = Mutate(seeds[rng.Uniform(seeds.size())], rng);
+    Request req;
+    if (!ParseRequest(line, &req).ok()) continue;
+    ++accepted;
+    EXPECT_TRUE(req.sel == -1.0 || (req.sel >= 0.0 && req.sel <= 1.0))
+        << "sel=" << req.sel << " from '" << line << "'";
+  }
+  EXPECT_GT(accepted, 0);
 }
 
 TEST(ProtocolTest, ErrResponseIsTypedAndSingleLine) {
@@ -231,23 +254,43 @@ std::shared_ptr<Catalog> TestCatalog() {
   return catalog;
 }
 
+sockaddr_in Loopback(int port) {
+  sockaddr_in addr;
+  std::memset(&addr, 0, sizeof(addr));
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(static_cast<uint16_t>(port));
+  return addr;
+}
+
 // A blocking line-protocol client: one connected session.
 class Client {
  public:
   explicit Client(int port) {
     fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(port));
-    connected_ = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+    const sockaddr_in addr = Loopback(port);
+    connected_ = ::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
                            sizeof(addr)) == 0;
   }
   ~Client() {
     if (fd_ >= 0) ::close(fd_);
   }
   bool connected() const { return connected_; }
+
+  // Bounds every recv, so a server that never answers fails the test
+  // instead of hanging it.
+  void SetRecvTimeout(int seconds) {
+    timeval tv{seconds, 0};
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  // Closes the sending side only (half-close).
+  void ShutdownSend() { ::shutdown(fd_, SHUT_WR); }
+  // True when the server has closed the session: recv reports end of
+  // stream.
+  bool ClosedByServer() {
+    char c;
+    return ::recv(fd_, &c, 1, 0) == 0;
+  }
 
   void Send(const std::string& data) {
     ASSERT_EQ(::send(fd_, data.data(), data.size(), 0),
@@ -329,9 +372,9 @@ TEST(QueryServiceTest, TypedErrorsForParseAndPlanFailures) {
   Client c(svc.port());
   ASSERT_TRUE(c.connected());
   c.Send("FLY Q6\nRUN Q6 tag=-1\nRUN Q99 tag=5\nRUN Q9 sel=0.5 tag=6\n"
-         "RUN Q6 tag=7\n");
-  const auto blocks = SplitBlocks(c.ReadResponses(5));
-  ASSERT_EQ(blocks.size(), 5u);
+         "RUN Q9 sel=nan tag=8\nRUN Q6 tag=7\n");
+  const auto blocks = SplitBlocks(c.ReadResponses(6));
+  ASSERT_EQ(blocks.size(), 6u);
   EXPECT_EQ(blocks[0].rfind("ERR PARSE tag=0 ", 0), 0u) << blocks[0];
   EXPECT_EQ(blocks[1].rfind("ERR PARSE tag=0 ", 0), 0u) << blocks[1];
   EXPECT_NE(blocks[1].find("bad tag '-1'"), std::string::npos) << blocks[1];
@@ -339,8 +382,10 @@ TEST(QueryServiceTest, TypedErrorsForParseAndPlanFailures) {
   EXPECT_NE(blocks[2].find("unknown query 'Q99'"), std::string::npos);
   EXPECT_EQ(blocks[3].rfind("ERR PLAN tag=6 ", 0), 0u) << blocks[3];
   EXPECT_NE(blocks[3].find("sel= is only valid for Q6"), std::string::npos);
+  // NaN is no fraction in [0,1]: rejected while parsing, before the tag.
+  EXPECT_EQ(blocks[4].rfind("ERR PARSE tag=0 ", 0), 0u) << blocks[4];
   // The session survives every error and still serves real queries.
-  EXPECT_EQ(blocks[4].rfind("OK id=", 0), 0u) << blocks[4];
+  EXPECT_EQ(blocks[5].rfind("OK id=", 0), 0u) << blocks[5];
   svc.Stop();
 }
 
@@ -423,6 +468,131 @@ TEST(QueryServiceTest, OverloadShedsTypedErrorAndServerSurvives) {
   svc.Stop();
 }
 
+TEST(QueryServiceTest, ClientThatStopsReadingStallsNoOtherSession) {
+  QueryService svc;
+  ServiceConfig cfg;
+  cfg.max_concurrent = 1;
+  cfg.max_queue_depth = 0;
+  cfg.morsel_workers = 2;
+  ASSERT_TRUE(svc.Start(TestCatalog(), cfg).ok());
+
+  // A: a 4 KB receive buffer, a pipelined flood of requests, no reads. Its
+  // answers (mostly ERR SHED) pile up on the server side.
+  const int a = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int rcvbuf = 4096;
+  ::setsockopt(a, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf));
+  const sockaddr_in addr = Loopback(svc.port());
+  ASSERT_EQ(::connect(a, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof(addr)),
+            0);
+  std::thread flood([a] {
+    std::string burst;
+    for (int i = 0; i < 10000; ++i) burst += "RUN Q6\n";
+    for (int round = 0; round < 100; ++round) {  // until the server closes A
+      for (size_t off = 0; off < burst.size();) {
+        const ssize_t n = ::send(a, burst.data() + off, burst.size() - off,
+                                 MSG_NOSIGNAL);
+        if (n <= 0) return;
+        off += static_cast<size_t>(n);
+      }
+    }
+  });
+  EXPECT_TRUE(Eventually([&] { return svc.Stats().requests_total > 1000; }));
+
+  // B is answered promptly (OK or ERR SHED, whichever admission decides):
+  // first while A's flood is being read, then once A's answers have backed
+  // up — the server has closed A, or it has stopped taking A's requests.
+  Client b(svc.port());
+  ASSERT_TRUE(b.connected());
+  b.SetRecvTimeout(3);
+  for (int tag = 1; tag <= 2; ++tag) {
+    for (uint64_t last = 0, i = 0; tag == 2 && i < 50; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      const ServiceStats s = svc.Stats();
+      if (s.sessions == 1 || s.requests_total == last) break;
+      last = s.requests_total;
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    b.Send("RUN Q6 tag=" + std::to_string(tag) + "\n");
+    const std::string resp = b.ReadResponses(1);
+    const double secs = std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+    EXPECT_NE(resp.find(" tag=" + std::to_string(tag) + " "),
+              std::string::npos)
+        << resp;
+    EXPECT_NE(resp.find("END\n"), std::string::npos) << resp;
+    EXPECT_LT(secs, 2.0) << "tag=" << tag;
+  }
+
+  // A's unsent output passes the cap, the server closes A, and the session
+  // count follows.
+  EXPECT_TRUE(Eventually([&] { return svc.Stats().sessions == 1; }, 10000))
+      << svc.Stats().sessions;
+
+  ::shutdown(a, SHUT_RDWR);  // ends the flood if the server has not
+  flood.join();
+  ::close(a);
+  svc.Stop();
+  EXPECT_EQ(svc.Stats().sessions, 0u);
+}
+
+TEST(QueryServiceTest, HalfClosedClientStillGetsItsAnswers) {
+  QueryService svc;
+  ServiceConfig cfg;
+  cfg.max_concurrent = 1;
+  cfg.morsel_workers = 2;
+  ASSERT_TRUE(svc.Start(TestCatalog(), cfg).ok());
+
+  Client c(svc.port());
+  ASSERT_TRUE(c.connected());
+  c.SetRecvTimeout(5);
+  c.Send("RUN Q9 tag=1\nRUN Q6 tag=2\n");
+  c.ShutdownSend();
+  const auto blocks = SplitBlocks(c.ReadResponses(2));
+  ASSERT_EQ(blocks.size(), 2u);
+  EXPECT_EQ(blocks[0].rfind("OK id=", 0), 0u) << blocks[0];
+  EXPECT_EQ(blocks[1].rfind("OK id=", 0), 0u) << blocks[1];
+  // Once nothing more is owed, the server closes the session.
+  EXPECT_TRUE(c.ClosedByServer());
+  EXPECT_TRUE(Eventually([&] { return svc.Stats().sessions == 0; }));
+  svc.Stop();
+}
+
+TEST(QueryServiceTest, FailedStartOnATakenPortLeavesNothingRunning) {
+  // Hold a port with a listening socket of our own.
+  const int holder = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr = Loopback(0);
+  ASSERT_EQ(::bind(holder, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(holder, 1), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(
+      ::getsockname(holder, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+
+  const auto schedulers = [] {
+    const std::string json = MorselScheduler::WorkersJson();
+    size_t n = 0;
+    for (size_t pos = 0;
+         (pos = json.find("{\"workers\":", pos)) != std::string::npos; ++pos) {
+      ++n;
+    }
+    return n;
+  };
+  const size_t before = schedulers();
+
+  QueryService svc;
+  ServiceConfig cfg;
+  cfg.port = ntohs(addr.sin_port);
+  cfg.morsel_workers = 3;
+  EXPECT_FALSE(svc.Start(TestCatalog(), cfg).ok());
+  EXPECT_FALSE(svc.running());
+  EXPECT_EQ(svc.fleet_workers(), 0);
+  EXPECT_EQ(schedulers(), before);
+  ::close(holder);
+}
+
 TEST(QueryServiceTest, DebugJsonCarriesAdmissionState) {
   QueryService svc;
   ServiceConfig cfg;
@@ -445,7 +615,7 @@ TEST(QueryServiceTest, DebugJsonCarriesAdmissionState) {
   EXPECT_NE(json.find("\"fleet_workers\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"latency_p99_ns\":"), std::string::npos) << json;
 
-  // The static provider wraps every live service.
+  // The /debug/service body wraps every live service.
   const std::string all = QueryService::ServiceJson();
   EXPECT_EQ(all.rfind("{\"services\":[", 0), 0u) << all;
   EXPECT_NE(all.find("\"completed_total\":2"), std::string::npos) << all;
