@@ -1,7 +1,9 @@
 // Execution-backend microbenchmarks (google-benchmark, real wall-clock):
-// the scalar row-at-a-time interpreter vs the vectorized selection-vector
-// kernels, and exchange-parallelized plans on 1/2/4/8-worker fleets. These are the hardware-truth numbers behind the simulated figures;
-// baselines are recorded in CHANGES.md.
+// the vectorized selection-vector kernels through the evaluator and as raw
+// hot loops (against a bench-local scalar loop), per SIMD dispatch tier, and
+// exchange-parallelized plans on 1/2/4/8-worker fleets. These are the
+// hardware-truth numbers behind the simulated figures; baselines are
+// recorded in CHANGES.md.
 //
 // Run: build/bench_kernels [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
@@ -38,17 +40,11 @@ Fixture& F() {
   return f;
 }
 
-Evaluator MakeEval(bool use_kernels) {
-  ExecOptions o;
-  o.use_kernels = use_kernels;
-  return Evaluator(o);
-}
-
 // ---- select: dense scan ----------------------------------------------------
 // range(0) = inclusive upper bound on values in [0,999] -> selectivity/10.
 
-void BM_SelectDense(benchmark::State& state, bool use_kernels) {
-  Evaluator eval = MakeEval(use_kernels);
+void BM_SelectDenseVectorized(benchmark::State& state) {
+  Evaluator eval(ExecOptions{});
   PlanBuilder b("sel");
   int sel = b.Select(F().ints.get(),
                      Predicate::RangeI64(0, state.range(0)));
@@ -59,9 +55,6 @@ void BM_SelectDense(benchmark::State& state, bool use_kernels) {
   }
   state.SetItemsProcessed(state.iterations() * F().ints->size());
 }
-void BM_SelectDenseScalar(benchmark::State& s) { BM_SelectDense(s, false); }
-void BM_SelectDenseVectorized(benchmark::State& s) { BM_SelectDense(s, true); }
-BENCHMARK(BM_SelectDenseScalar)->Arg(99)->Arg(499)->Arg(899);
 BENCHMARK(BM_SelectDenseVectorized)->Arg(99)->Arg(499)->Arg(899);
 
 // ---- select hot loop, no plan machinery ------------------------------------
@@ -108,8 +101,8 @@ BENCHMARK(BM_SelectLoopKernel)->Arg(99)->Arg(499)->Arg(899);
 
 // ---- select: candidate list ------------------------------------------------
 
-void BM_SelectCandidates(benchmark::State& state, bool use_kernels) {
-  Evaluator eval = MakeEval(use_kernels);
+void BM_SelectCandidatesVectorized(benchmark::State& state) {
+  Evaluator eval(ExecOptions{});
   PlanBuilder b("sel2");
   int s1 = b.Select(F().ints.get(), Predicate::RangeI64(0, 499));
   int s2 = b.Select(F().floats.get(), Predicate::RangeF64(0.0, 0.5), s1);
@@ -120,15 +113,12 @@ void BM_SelectCandidates(benchmark::State& state, bool use_kernels) {
   }
   state.SetItemsProcessed(state.iterations() * F().ints->size());
 }
-void BM_SelectCandidatesScalar(benchmark::State& s) { BM_SelectCandidates(s, false); }
-void BM_SelectCandidatesVectorized(benchmark::State& s) { BM_SelectCandidates(s, true); }
-BENCHMARK(BM_SelectCandidatesScalar);
 BENCHMARK(BM_SelectCandidatesVectorized);
 
 // ---- fetchjoin gather ------------------------------------------------------
 
-void BM_FetchJoin(benchmark::State& state, bool use_kernels) {
-  Evaluator eval = MakeEval(use_kernels);
+void BM_FetchJoinVectorized(benchmark::State& state) {
+  Evaluator eval(ExecOptions{});
   PlanBuilder b("fetch");
   int sel = b.Select(F().ints.get(), Predicate::RangeI64(0, 499));
   int f = b.FetchJoin(F().floats.get(), sel);
@@ -139,15 +129,12 @@ void BM_FetchJoin(benchmark::State& state, bool use_kernels) {
   }
   state.SetItemsProcessed(state.iterations() * F().ints->size());
 }
-void BM_FetchJoinScalar(benchmark::State& s) { BM_FetchJoin(s, false); }
-void BM_FetchJoinVectorized(benchmark::State& s) { BM_FetchJoin(s, true); }
-BENCHMARK(BM_FetchJoinScalar);
 BENCHMARK(BM_FetchJoinVectorized);
 
 // ---- hash-join probe (batched pair emission) -------------------------------
 
-void BM_JoinProbe(benchmark::State& state, bool use_kernels) {
-  Evaluator eval = MakeEval(use_kernels);
+void BM_JoinProbeVectorized(benchmark::State& state) {
+  Evaluator eval(ExecOptions{});
   PlanBuilder b("join");
   int jn = b.JoinLeaf(F().fk.get(), F().pk.get());
   QueryPlan plan = b.Result(jn);
@@ -157,9 +144,6 @@ void BM_JoinProbe(benchmark::State& state, bool use_kernels) {
   }
   state.SetItemsProcessed(state.iterations() * F().fk->size());
 }
-void BM_JoinProbeScalar(benchmark::State& s) { BM_JoinProbe(s, false); }
-void BM_JoinProbeVectorized(benchmark::State& s) { BM_JoinProbe(s, true); }
-BENCHMARK(BM_JoinProbeScalar);
 BENCHMARK(BM_JoinProbeVectorized);
 
 // ---- fleet execution of an exchange-parallelized plan ----------------------

@@ -1,17 +1,16 @@
 // Flat open-addressing aggregation hash table.
 //
-// The scalar interpreter builds groups through a node-based
-// std::unordered_map insert loop; this table is the cache-friendly
-// replacement the parallel aggregation pipeline (parallel_agg.h) builds its
-// thread-local group-by tables in: one linear-probed bucket array of 4-byte
-// slot references over dense columnar group storage (keys and
-// first-occurrence positions).
+// Every group-by ingest (parallel_agg.h) builds its groups in this table:
+// the one table of the inline path, and each worker's thread-local table on
+// the fleet. It is one linear-probed bucket array of 4-byte slot references
+// over dense columnar group storage (keys and first-occurrence positions).
 //
 // Keys are int64 — ints, date days, and dictionary codes all share that
 // storage (storage/column.h), so one specialization covers every group-by
-// attribute the engine produces. Slots are numbered in insertion order,
-// which is what lets the partitioned merge renumber thread-local group ids
-// into the scalar path's global first-occurrence order.
+// attribute the engine produces. Slots are numbered in insertion order, so
+// one table fed the input front to back numbers groups in first-occurrence
+// order, and the partitioned merge can renumber thread-local group ids into
+// that same order.
 #ifndef APQ_EXEC_AGG_AGG_TABLE_H_
 #define APQ_EXEC_AGG_AGG_TABLE_H_
 
@@ -23,8 +22,8 @@
 namespace apq {
 
 /// \brief Open-addressing hash table from int64 key to a dense group slot.
-/// Not thread-safe: the parallel pipeline gives each worker its own table
-/// and merges afterward.
+/// Not thread-safe: the morsel-parallel ingest gives each worker its own
+/// table and merges afterward.
 class AggTable {
  public:
   static constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
@@ -45,6 +44,8 @@ class AggTable {
 
   uint64_t num_groups() const { return keys_.size(); }
   int64_t key(uint32_t slot) const { return keys_[slot]; }
+  /// Every key, indexed by slot.
+  const std::vector<int64_t>& keys() const { return keys_; }
   uint64_t first_pos(uint32_t slot) const { return first_pos_[slot]; }
 
   uint64_t byte_size() const {

@@ -3,24 +3,35 @@
 #include <algorithm>
 #include <utility>
 
+#include "exec/agg/agg_table.h"
 #include "obs/resource_tracker.h"
 #include "util/hash_clock.h"
 
 namespace apq {
 
-size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
-                       const ParallelAggOptions& opts,
-                       std::vector<int64_t>* out_gids,
-                       std::vector<int64_t>* out_keys,
-                       std::vector<MorselMetrics>* morsels) {
-  MorselSource src(0, n, opts.morsel_rows);
-  const size_t nm = src.num_morsels();
-  if (nm < 2 || opts.scheduler == nullptr) return 0;
-  MorselScheduler& sched = *opts.scheduler;
-
+void GroupByIngest(const int64_t* keys, uint64_t n, MorselScheduler* fleet,
+                   uint64_t morsel_rows, std::vector<int64_t>* out_gids,
+                   std::vector<int64_t>* out_keys,
+                   std::vector<MorselMetrics>* morsels) {
+  const MorselSource src(0, n, morsel_rows);
+  const size_t nm = fleet != nullptr ? src.num_morsels() : 1;
   const size_t base = out_gids->size();
   out_gids->resize(base + n);
   int64_t* gids = out_gids->data() + base;
+
+  if (nm < 2) {
+    // One table, sized like each thread-local table below: its slots are
+    // numbered in insertion order, which is first-occurrence order.
+    AggTable tab;
+    for (uint64_t pos = 0; pos < n; ++pos) {
+      gids[pos] = tab.FindOrInsert(keys[pos], pos);
+    }
+    // Charged like the thread-local tables: live until the keys are out.
+    obs::ScopedMemCharge table_charge(tab.byte_size());
+    out_keys->insert(out_keys->end(), tab.keys().begin(), tab.keys().end());
+    return;
+  }
+  MorselScheduler& sched = *fleet;
 
   // Phase 1 — thread-local ingest. Table index 0 belongs to the submitting
   // thread (kCallerWorker), 1..W to the scheduler workers; a worker runs one
@@ -76,7 +87,7 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
 
   // Phase 3 — global renumbering: rank keys by earliest occurrence. Input
   // positions are unique, so the order (and thus every group id) is total
-  // and identical to the scalar path's insertion order.
+  // and identical to the inline table's insertion order.
   std::vector<std::pair<uint64_t, int64_t>> order;  // (first_pos, key)
   {
     size_t total = 0;
@@ -116,7 +127,6 @@ size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
   });
 
   morsels->insert(morsels->end(), mm.begin(), mm.end());
-  return nm;
 }
 
 }  // namespace apq

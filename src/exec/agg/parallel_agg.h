@@ -1,11 +1,15 @@
-// Morsel-parallel group-by ingest on the work-stealing scheduler
-// (sched/morsel_scheduler.h). The evaluator's sequential insert loop stays as
-// the differential oracle; ParallelGroupBy reproduces it bit for bit: each
-// scheduler worker ingests its morsels into a thread-local AggTable (local
-// group ids, per-key minimum input position), the tables are merged by radix
-// partition of the key hash (each partition merged by one worker), and group
-// ids are renumbered by ranking keys on their earliest input position — which
-// reproduces the scalar interpreter's first-occurrence numbering
+// Group-by ingest, the group-by operator's one routine. GroupByIngest numbers
+// groups in first-occurrence order: group g is the g-th distinct key met
+// scanning the input front to back.
+//
+// With no fleet, or an input that fits one morsel, it ingests inline into
+// one AggTable, whose slots are numbered in insertion order — already
+// first-occurrence order, so nothing merges or renumbers. Otherwise each
+// scheduler worker (sched/morsel_scheduler.h) ingests its morsels into a
+// thread-local AggTable (local group ids, per-key minimum input position),
+// the tables are merged by radix partition of the key hash (each partition
+// merged by one worker), and group ids are renumbered by ranking keys on
+// their earliest input position — which reproduces the inline numbering
 // *bit-identically*, regardless of morsel size, worker count, or steal order.
 //
 // Grouped aggregation has no parallel routine: the evaluator folds every
@@ -16,33 +20,23 @@
 #include <cstdint>
 #include <vector>
 
-#include "exec/agg/agg_table.h"
 #include "exec/morsel_source.h"
 #include "sched/morsel_scheduler.h"
 
 namespace apq {
 
-/// \brief How the aggregation pipeline splits and schedules its input.
-struct ParallelAggOptions {
-  uint64_t morsel_rows = kDefaultMorselRows;
-  MorselScheduler* scheduler = nullptr;  ///< null = run sequentially
-};
-
-/// \brief Morsel-parallel group-by over `keys[0..n)`.
+/// \brief Group-by ingest over `keys[0..n)`.
 ///
 /// Appends n group ids to `out_gids` and the distinct keys (indexed by group
-/// id) to `out_keys`, numbering groups in global first-occurrence order —
-/// bit-identical to the sequential insert loop. Appends one MorselMetrics
-/// per ingest morsel to `morsels` (tuples_in = tuples_out = morsel rows).
-///
-/// Returns the number of morsels run; 0 when the input fits in fewer than
-/// two morsels or no scheduler was given — the caller should then run its
-/// sequential path (nothing has been written).
-size_t ParallelGroupBy(const int64_t* keys, uint64_t n,
-                       const ParallelAggOptions& opts,
-                       std::vector<int64_t>* out_gids,
-                       std::vector<int64_t>* out_keys,
-                       std::vector<MorselMetrics>* morsels);
+/// id) to `out_keys`, numbering groups in first-occurrence order. Runs inline
+/// when `fleet` is null or the input fits one morsel of `morsel_rows`, and
+/// then leaves `morsels` untouched; otherwise runs on the fleet and appends
+/// one MorselMetrics per ingest morsel (tuples_in = tuples_out = morsel
+/// rows).
+void GroupByIngest(const int64_t* keys, uint64_t n, MorselScheduler* fleet,
+                   uint64_t morsel_rows, std::vector<int64_t>* out_gids,
+                   std::vector<int64_t>* out_keys,
+                   std::vector<MorselMetrics>* morsels);
 
 }  // namespace apq
 

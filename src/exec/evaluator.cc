@@ -3,13 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <functional>
-#include <numeric>
 #include <string>
 #include <unordered_map>
 
 #include "exec/agg/parallel_agg.h"
 #include "exec/kernels.h"
-#include "exec/sort/merge.h"
+#include "exec/sort/sort_runs.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
 #include "util/env.h"
@@ -41,15 +40,6 @@ void RegisterBuildInfo(simd::SimdLevel level) {
 }
 
 namespace {
-
-bool EvalPredI64(const Predicate& p, int64_t v) {
-  switch (p.kind) {
-    case Predicate::Kind::kNone: return true;
-    case Predicate::Kind::kRangeI64: return v >= p.lo && v <= p.hi;
-    case Predicate::Kind::kEqI64: return v == p.lo;
-    default: return false;
-  }
-}
 
 ValueVec MakeVecLike(const Column& col) {
   ValueVec v;
@@ -212,9 +202,8 @@ void SetIdDomain(const oid* ids, uint64_t b, uint64_t e, RowRange range,
   APQ_RETURN_NOT_OK(InputSlot(*(ctx).slots, *(ctx).done, (id), (out)))
 
 bool Evaluator::MorselsEnabled() const {
-  return options_.use_kernels &&
-         (options_.use_morsels || (morsel_sched_ && !morsel_sched_owned_) ||
-          ForcedEnvMorselRows() != 0);
+  return options_.use_morsels || (morsel_sched_ && !morsel_sched_owned_) ||
+         ForcedEnvMorselRows() != 0;
 }
 
 uint64_t Evaluator::EffectiveMorselRows() const {
@@ -223,9 +212,9 @@ uint64_t Evaluator::EffectiveMorselRows() const {
 }
 
 uint64_t Evaluator::ForcedEnvMorselRows() {
-  // CI and stress runs force a fleet onto every kernels-path evaluator
-  // without touching call sites. The cap only catches typos: no table this
-  // repository can hold in memory has 2^32 rows.
+  // CI and stress runs force a fleet onto every evaluator without touching
+  // call sites. The cap only catches typos: no table this repository can
+  // hold in memory has 2^32 rows.
   static const uint64_t forced =
       EnvInt("APQ_FORCE_MORSELS", 1, 1ull << 32).value_or(0);
   return forced;
@@ -249,51 +238,6 @@ const std::shared_ptr<MorselScheduler>& Evaluator::EnsureMorselScheduler() {
 
 MorselScheduler* Evaluator::Fleet() {
   return MorselsEnabled() ? EnsureMorselScheduler().get() : nullptr;
-}
-
-size_t Evaluator::MorselGroupBy(const int64_t* keys, uint64_t n,
-                                Intermediate* result, OpMetrics* m) {
-  ParallelAggOptions o;
-  o.morsel_rows = MorselRowsForNode(m->node_id);
-  o.scheduler = Fleet();
-  std::vector<MorselMetrics> mm;
-  const size_t nm = ParallelGroupBy(keys, n, o, &result->group_ids,
-                                    &result->group_keys.i64, &mm);
-  if (nm > 0) m->morsels = std::move(mm);
-  return nm;
-}
-
-size_t Evaluator::MorselSortPerm(const SortKeys& keys, uint64_t n,
-                                 bool descending, uint64_t limit,
-                                 std::vector<uint64_t>* perm, OpMetrics* m) {
-  ParallelSortOptions o;
-  o.morsel_rows = MorselRowsForNode(m->node_id);
-  o.scheduler = Fleet();
-  o.limit = limit;
-  std::vector<std::vector<uint64_t>> runs;
-  std::vector<MorselMetrics> mm;
-  const size_t nm = BuildSortRuns(keys, n, o, descending, &runs, &mm);
-  if (nm == 0) return 0;
-
-  std::vector<RunSpan> spans(runs.size());
-  uint64_t total = 0;
-  for (size_t r = 0; r < runs.size(); ++r) {
-    spans[r] = RunSpan{runs[r].data(), runs[r].size()};
-    total += runs[r].size();
-  }
-  // The run tasks charged their fragments durably; adopt the sum so one
-  // release covers them when the merge is done (error-path safe).
-  obs::ScopedMemCharge guard;
-  guard.AssumeCharged(total * sizeof(uint64_t));
-  // Bounded top-N: the runs were clipped to their limit smallest, so the
-  // merge sees at most runs x limit candidates and emits only limit rows.
-  const uint64_t out_len = limit > 0 && limit < total ? limit : total;
-  perm->resize(out_len);
-  guard.Add(out_len * sizeof(uint64_t));
-  ParallelMergeRuns(spans, SortKeyLess{keys, descending}, o, out_len,
-                    perm->data(), &mm);
-  m->morsels = std::move(mm);
-  return nm;
 }
 
 std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column) {
@@ -536,8 +480,7 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
   result->origin = range;
 
   std::vector<uint8_t> like_match;
-  bool is_like = node.pred.kind == Predicate::Kind::kLike;
-  if (is_like) {
+  if (node.pred.kind == Predicate::Kind::kLike) {
     if (col.type() != DataType::kString) {
       return Status::InvalidArgument("LIKE on non-string column '" + col.name() +
                                      "'");
@@ -560,68 +503,36 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
     m->tuples_in = range.size();
   }
 
-  if (options_.use_kernels) {
-    // SelectDense appends row ids in row order within its span, so the
-    // per-morsel outputs concatenated in morsel order reproduce one
-    // whole-range call bit-for-bit.
-    std::vector<SpanOut> outs;
-    if (in) {
-      const oid* cand = in->rowids.data();
-      outs = RunSpans(
-          Fleet(), MorselRowsForNode(node.id), 0, in->rowids.size(),
-          "morsel-select-cand", m,
-          [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
-            SelectCandidatesSpan(col, range, node.pred, &like_match, cand + b,
-                                 e - b, &o->rows, &o->accesses, simd_ops_);
-            mm->tuples_out = o->rows.size();
-            SetIdDomain(cand, b, e, range, mm);
-          });
-      for (const SpanOut& o : outs) m->random_accesses += o.accesses;
-    } else {
-      outs = RunSpans(
-          Fleet(), MorselRowsForNode(node.id), range.begin, range.end,
-          "morsel-select", m,
-          [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
-            SelectDense(col, RowRange{b, e}, node.pred, &like_match, &o->rows,
-                        simd_ops_);
-            mm->tuples_out = o->rows.size();
-            mm->domain_begin = b;
-            mm->domain_end = e;
-          });
-    }
-    ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
-                &result->rowids);
+  // SelectDense appends row ids in row order within its span, so the
+  // per-morsel outputs concatenated in morsel order reproduce one
+  // whole-range call bit-for-bit.
+  std::vector<SpanOut> outs;
+  if (in) {
+    const oid* cand = in->rowids.data();
+    outs = RunSpans(
+        Fleet(), MorselRowsForNode(node.id), 0, in->rowids.size(),
+        "morsel-select-cand", m,
+        [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+          SelectCandidatesSpan(col, range, node.pred, &like_match, cand + b,
+                               e - b, &o->rows, &o->accesses, simd_ops_);
+          mm->tuples_out = o->rows.size();
+          SetIdDomain(cand, b, e, range, mm);
+        });
+    for (const SpanOut& o : outs) m->random_accesses += o.accesses;
   } else {
-    // Scalar reference path: per-row lambda re-dispatching on kind and type.
-    bool is_f64 = col.type() == DataType::kFloat64;
-    auto test = [&](oid row) -> bool {
-      if (is_like) return like_match[col.i64()[row]] != 0;
-      if (is_f64) {
-        if (node.pred.kind == Predicate::Kind::kRangeF64) {
-          double v = col.f64()[row];
-          return v >= node.pred.flo && v <= node.pred.fhi;
-        }
-        return EvalPredI64(node.pred, static_cast<int64_t>(col.f64()[row]));
-      }
-      if (node.pred.kind == Predicate::Kind::kRangeF64) {
-        double v = static_cast<double>(col.i64()[row]);
-        return v >= node.pred.flo && v <= node.pred.fhi;
-      }
-      return EvalPredI64(node.pred, col.i64()[row]);
-    };
-
-    if (in) {
-      for (oid row : in->rowids) {
-        if (!range.Contains(row)) continue;  // boundary clip (Fig 9 adjust)
-        ++m->random_accesses;
-        if (test(row)) result->rowids.push_back(row);
-      }
-    } else {
-      for (oid row = range.begin; row < range.end; ++row) {
-        if (test(row)) result->rowids.push_back(row);
-      }
-    }
+    outs = RunSpans(
+        Fleet(), MorselRowsForNode(node.id), range.begin, range.end,
+        "morsel-select", m,
+        [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+          SelectDense(col, RowRange{b, e}, node.pred, &like_match, &o->rows,
+                      simd_ops_);
+          mm->tuples_out = o->rows.size();
+          mm->domain_begin = b;
+          mm->domain_end = e;
+        });
   }
+  ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
+              &result->rowids);
   m->tuples_out = result->rowids.size();
   m->bytes_in = m->tuples_in * DataTypeWidth(col.type());
   m->bytes_out = m->tuples_out * sizeof(oid);
@@ -656,73 +567,51 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
   // this clone's slice of the fetch target. Under kStrict any out-of-slice id
   // is a misalignment error; under kAdjust the boundaries are clipped and the
   // sibling clones (covering the neighbouring slices) produce the rest.
-  bool sliced = node.has_slice;
-  if (options_.use_kernels) {
-    // Without kAdjust clipping every id yields exactly one value, so span
-    // [b, e) owns output positions [b, e) and gathers straight into the
-    // pre-sized result; clipped spans gather into their own outputs, which
-    // are concatenated in input order.
-    const bool clip = sliced && node.align == AlignPolicy::kAdjust;
-    const oid* idp = ids->data();
-    if (!clip) {
-      result->head.resize(ids->size());
-      if (result->values.is_f64()) {
-        result->values.f64.resize(ids->size());
-      } else {
-        result->values.i64.resize(ids->size());
-      }
+  const bool sliced = node.has_slice;
+  // Without kAdjust clipping every id yields exactly one value, so span
+  // [b, e) owns output positions [b, e) and gathers straight into the
+  // pre-sized result; clipped spans gather into their own outputs, which
+  // are concatenated in input order.
+  const bool clip = sliced && node.align == AlignPolicy::kAdjust;
+  const oid* idp = ids->data();
+  if (!clip) {
+    result->head.resize(ids->size());
+    if (result->values.is_f64()) {
+      result->values.f64.resize(ids->size());
+    } else {
+      result->values.i64.resize(ids->size());
     }
-    std::vector<SpanOut> outs = RunSpans(
-        Fleet(), MorselRowsForNode(node.id), 0, ids->size(), "morsel-gather",
-        m, [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
-          if (clip) {
-            o->values = MakeVecLike(col);
-            o->status =
-                GatherRowsSpan(col, idp + b, e - b, range, true, node.align,
-                               &o->rows, &o->values, simd_ops_);
-            mm->tuples_out = o->values.size();
-          } else {
-            o->status = GatherRowsAt(col, idp + b, e - b, range, sliced,
-                                     result->head.data() + b, &result->values,
-                                     b, simd_ops_);
-            mm->tuples_out = e - b;
-          }
-          SetIdDomain(idp, b, e, range, mm);
-        });
-    // The lowest failing span holds the input-order first offender, the
-    // same error one whole-list call (and the scalar interpreter) reports;
-    // a partially written result is discarded upstream.
-    for (const SpanOut& o : outs) APQ_RETURN_NOT_OK(o.status);
-    if (clip) {
-      ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
-                  &result->head);
-      if (result->values.is_f64()) {
-        ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.values.f64; },
-                    &result->values.f64);
-      } else {
-        ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.values.i64; },
-                    &result->values.i64);
-      }
-    }
-  } else {
-    result->head.reserve(ids->size());
-    result->values.Reserve(ids->size());
-    for (oid row : *ids) {
-      if (row >= col.size()) {
-        return Status::Misaligned("fetchjoin rowid " + std::to_string(row) +
-                                  " beyond column '" + col.name() + "' size " +
-                                  std::to_string(col.size()));
-      }
-      if (sliced && !range.Contains(row)) {
-        if (node.align == AlignPolicy::kStrict) {
-          return Status::Misaligned(
-              "fetchjoin rowid " + std::to_string(row) + " outside slice " +
-              range.ToString() + " of '" + col.name() + "'");
+  }
+  std::vector<SpanOut> outs = RunSpans(
+      Fleet(), MorselRowsForNode(node.id), 0, ids->size(), "morsel-gather",
+      m, [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
+        if (clip) {
+          o->values = MakeVecLike(col);
+          o->status =
+              GatherRowsSpan(col, idp + b, e - b, range, true, node.align,
+                             &o->rows, &o->values, simd_ops_);
+          mm->tuples_out = o->values.size();
+        } else {
+          o->status = GatherRowsAt(col, idp + b, e - b, range, sliced,
+                                   result->head.data() + b, &result->values,
+                                   b, simd_ops_);
+          mm->tuples_out = e - b;
         }
-        continue;  // kAdjust: clip
-      }
-      result->head.push_back(row);
-      GatherInto(col, row, &result->values);
+        SetIdDomain(idp, b, e, range, mm);
+      });
+  // The lowest failing span holds the input-order first offender, the
+  // same error one whole-list call reports; a partially written result is
+  // discarded upstream.
+  for (const SpanOut& o : outs) APQ_RETURN_NOT_OK(o.status);
+  if (clip) {
+    ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.rows; },
+                &result->head);
+    if (result->values.is_f64()) {
+      ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.values.f64; },
+                  &result->values.f64);
+    } else {
+      ConcatSpans(&outs, [](SpanOut& o) -> auto& { return o.values.i64; },
+                  &result->values.i64);
     }
   }
   m->tuples_out = result->values.size();
@@ -835,27 +724,8 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
 Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
                               Intermediate* result, OpMetrics* m) {
   result->kind = Intermediate::Kind::kGroups;
-
-  // Sequential ingest (the tiers' differential oracle). The map and key
-  // vector are sized up front from the input cardinality — capped, so a
-  // low-cardinality group-by over millions of rows doesn't pay an O(n)
-  // allocation for a ten-entry map; past the cap, doubling growth costs a
-  // handful of rehashes instead of the per-insert regrowth this replaces.
-  auto ingest_all = [&](auto key_at, uint64_t n) {
-    const uint64_t cap = std::min<uint64_t>(n, uint64_t{1} << 16);
-    std::unordered_map<int64_t, int64_t> key_to_gid;
-    key_to_gid.reserve(cap);
-    result->group_keys.i64.reserve(cap);
-    result->group_ids.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      const int64_t key = key_at(i);
-      auto [it, inserted] =
-          key_to_gid.emplace(key, static_cast<int64_t>(key_to_gid.size()));
-      if (inserted) result->group_keys.i64.push_back(key);
-      result->group_ids.push_back(it->second);
-    }
-  };
-
+  const int64_t* keys = nullptr;
+  std::vector<int64_t> truncated;  // float64 keys group by AsInt truncation
   if (!node.inputs.empty()) {
     const Intermediate* in;
     APQ_INPUT_OF(ctx, node.inputs[0], &in);
@@ -866,31 +736,28 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     result->group_keys.dict = in->values.dict;
     result->origin = in->origin;
     result->head = in->head;
-    uint64_t n = in->values.size();
-    m->tuples_in = n;
-    // Parallel ingest (exec/agg tier) needs contiguous int64 keys; f64 group
-    // keys (rare — AsInt truncation per row) stay sequential.
-    size_t nm = 0;
-    if (!in->values.is_f64()) {
-      nm = MorselGroupBy(in->values.i64.data(), n, result, m);
-    }
-    if (nm == 0) {
-      ingest_all([&](uint64_t i) { return in->values.AsInt(i); }, n);
+    m->tuples_in = in->values.size();
+    keys = in->values.i64.data();
+    if (in->values.is_f64()) {
+      truncated.resize(m->tuples_in);
+      for (uint64_t i = 0; i < m->tuples_in; ++i) {
+        truncated[i] = in->values.AsInt(i);
+      }
+      keys = truncated.data();
     }
   } else {
+    // Plan validation guarantees an int64-backed column (ints, dates and
+    // dictionary codes).
     const Column& col = *node.column;
     RowRange range = node.EffectiveRange();
     result->group_keys = MakeVecLike(col);
     result->group_keys.type = DataType::kInt64;
     result->origin = range;
     m->tuples_in = range.size();
-    size_t nm = MorselGroupBy(col.i64().data() + range.begin, range.size(),
-                              result, m);
-    if (nm == 0) {
-      ingest_all([&](uint64_t i) { return col.i64()[range.begin + i]; },
-                 range.size());
-    }
+    keys = col.i64().data() + range.begin;
   }
+  GroupByIngest(keys, m->tuples_in, Fleet(), MorselRowsForNode(node.id),
+                &result->group_ids, &result->group_keys.i64, &m->morsels);
   m->tuples_out = result->group_ids.size();
   m->random_accesses = m->tuples_in;
   // One entry per distinct key (group_keys holds int64 keys on every path).
@@ -984,7 +851,7 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
     // no-rounding proof fails). float64 SUM/AVG always fold sequentially —
     // reassociation would change last bits.
     bool done = false;
-    if (options_.use_kernels && n > 0) {
+    if (n > 0) {
       const ValueVec& vv = first->values;
       switch (node.agg_fn) {
         case AggFn::kCount:
@@ -1334,20 +1201,20 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
     APQ_INPUT_OF(ctx, node.inputs[0], &in);
   }
 
-  // One permutation routine for every input shape: the parallel sort tier
-  // (exec/sort/) when morsels are on and the input splits, the sequential
-  // shared-comparator sort otherwise. Both emit the unique (value, position)
-  // order — std::stable_sort's permutation — so the gather loops below
-  // cannot observe which one ran.
+  // One permutation routine for every input shape (exec/sort/): it emits
+  // the unique (value, position) order — std::stable_sort's permutation —
+  // inline or on the fleet, so the gather loops below cannot observe which.
+  // Its run tasks carry tuples_in summing to n, the operator's sort_rows
+  // (equal to its tuples_in except for slice-clipped rowid inputs), and its
+  // merge chunks carry tuples_out.
   auto sort_perm = [&](const SortKeys& keys, uint64_t n,
                        std::vector<uint64_t>* perm) {
     const uint64_t limit =
         node.kind == OpKind::kTopN && node.limit > 0 && node.limit < n
             ? node.limit
             : 0;
-    if (MorselSortPerm(keys, n, node.descending, limit, perm, m) == 0) {
-      SortPermSequential(keys, n, node.descending, limit, perm);
-    }
+    SortPerm(keys, n, node.descending, limit, Fleet(),
+             MorselRowsForNode(node.id), perm, &m->morsels);
   };
   auto keys_of = [](const ValueVec& v) {
     return v.is_f64() ? SortKeys{v.f64.data(), nullptr}

@@ -10,17 +10,19 @@
 // containing an exchange union runs one dataflow level at a time (a level is
 // the nodes whose longest input path from a leaf has the same length), each
 // multi-node level as one fleet job, so exchange clones run concurrently.
-// Within a node, selects, fetch-join gathers and join probes run one span
-// kernel from exec/kernels.h: per morsel on the fleet when the input splits,
-// once inline over the whole input otherwise; group-by ingest and sort do
-// the same through exec/agg and exec/sort. Grouped aggregation is one
-// sequential fold, so every group sums its rows in input order. Plans
-// without a union, and evaluators without a fleet, run their nodes inline in
-// topological order.
+// Within a node, every operator has one routine. Selects, fetch-join gathers
+// and join probes run one span kernel from exec/kernels.h: per morsel on the
+// fleet when the input splits, once inline over the whole input otherwise.
+// Group-by ingest (exec/agg/GroupByIngest) and sort (exec/sort/SortPerm)
+// take the fleet and the node's morsel size the same way and run inline
+// when there is no fleet or the input fits one morsel. Grouped aggregation
+// is one sequential fold, so every group sums its rows in input order.
+// Plans without a union, and evaluators without a fleet, run their nodes
+// inline in topological order.
 //
-// The original row-at-a-time interpreter is retained behind
-// ExecOptions::use_kernels = false as a reference implementation for
-// correctness tests and the scalar-vs-vectorized microbenchmarks.
+// The row-at-a-time reference for select, fetch-join, group-by and sort
+// lives with the tests (tests/reference_ops.h), which recompute every such
+// node of an EvalResult from its own inputs.
 #ifndef APQ_EXEC_EVALUATOR_H_
 #define APQ_EXEC_EVALUATOR_H_
 
@@ -33,7 +35,6 @@
 #include "exec/intermediate.h"
 #include "exec/morsel_source.h"
 #include "exec/simd/simd_ops.h"
-#include "exec/sort/sort_runs.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "plan/plan.h"
@@ -79,15 +80,11 @@ struct EvalResult {
 
 /// \brief Execution backend configuration.
 struct ExecOptions {
-  /// Use the vectorized selection-vector kernels (exec/kernels.h). When
-  /// false, the original scalar row-at-a-time interpreter runs instead.
-  bool use_kernels = true;
   /// Give this evaluator a thread fleet (sched/morsel_scheduler.h): operator
   /// inputs split into fixed-size morsels run as fleet tasks and are
   /// concatenated in morsel order — bit-identical to whole-column execution —
   /// and the clone levels of exchange-parallelized plans run concurrently.
-  /// Requires use_kernels; the scalar interpreter never uses a fleet. An
-  /// injected scheduler (set_morsel_scheduler) or the APQ_FORCE_MORSELS
+  /// An injected scheduler (set_morsel_scheduler) or the APQ_FORCE_MORSELS
   /// environment variable turns this on too.
   bool use_morsels = false;
   /// Rows per morsel (0 = kDefaultMorselRows).
@@ -100,8 +97,8 @@ struct ExecOptions {
   /// best level the CPU supports (cpuid probe), lower levels pin the tier
   /// (for differential testing). The APQ_SIMD environment variable
   /// (scalar|avx2|avx512; an unknown name warns and is ignored) overrides
-  /// this. Only meaningful with use_kernels; outputs are bit-identical at
-  /// every level. Levels above what the CPU/build supports clamp down.
+  /// this. Outputs are bit-identical at every level. Levels above what the
+  /// CPU/build supports clamp down.
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
 };
 
@@ -163,9 +160,8 @@ class Evaluator {
   /// workers) if none was injected.
   const std::shared_ptr<MorselScheduler>& EnsureMorselScheduler();
 
-  /// True when this evaluator has a thread fleet: the vectorized kernels
-  /// plus use_morsels, an injected scheduler, or the APQ_FORCE_MORSELS
-  /// environment override.
+  /// True when this evaluator has a thread fleet: use_morsels, an injected
+  /// scheduler, or the APQ_FORCE_MORSELS environment override.
   bool MorselsEnabled() const;
 
   /// Rows per morsel actually used: options().morsel_rows, unless
@@ -245,28 +241,9 @@ class Evaluator {
                   Intermediate* result, OpMetrics* m);
 
   /// The fleet morsel tasks run on: the (created on first use) scheduler
-  /// when MorselsEnabled(), else null — every morsel routine then runs its
-  /// kernel once inline over the whole input.
+  /// when MorselsEnabled(), else null — every operator routine then runs
+  /// once inline over the whole input.
   MorselScheduler* Fleet();
-
-  /// Morsel-parallel group-by ingest over keys[0..n) (exec/agg/): fills
-  /// result->group_ids / group_keys.i64 in the scalar first-occurrence
-  /// order. Returns morsels run (0 = take the sequential path).
-  size_t MorselGroupBy(const int64_t* keys, uint64_t n, Intermediate* result,
-                       OpMetrics* m);
-
-  /// Morsel-parallel permutation sort (exec/sort/): fills `perm` with the
-  /// first min(limit, n) positions (limit = 0 sorts everything) of [0, n)
-  /// in (key value, position) order — bit-identical to the scalar stable
-  /// sort — and lands per-run / per-merge-chunk counts in `m->morsels`:
-  /// run tasks carry tuples_in (summing to n = the operator's sort_rows;
-  /// equal to its tuples_in except for slice-clipped rowid inputs, which
-  /// drop out-of-slice candidates before sorting) and merge chunks carry
-  /// tuples_out (summing to the operator's tuples_out). Returns the number
-  /// of runs; 0 = caller runs SortPermSequential (nothing written).
-  size_t MorselSortPerm(const SortKeys& keys, uint64_t n, bool descending,
-                        uint64_t limit, std::vector<uint64_t>* perm,
-                        OpMetrics* m);
 
   std::shared_ptr<HashIndex> GetOrBuildHash(const Column& column);
 

@@ -28,7 +28,7 @@ struct EqI64 {
   int64_t v0;
   size_t operator()(int64_t v) const { return static_cast<size_t>(v == v0); }
 };
-// RangeF64 predicate over int64 storage: the scalar path casts the value.
+// RangeF64 predicate over int64 storage: the value is cast to double.
 struct RangeF64OverI64 {
   double lo, hi;
   size_t operator()(int64_t v) const {
@@ -50,7 +50,7 @@ struct RangeF64 {
     return static_cast<size_t>((v >= lo) & (v <= hi));
   }
 };
-// Int predicates over float64 storage: the scalar path truncates the value.
+// Int predicates over float64 storage: the value is truncated to int64.
 struct RangeI64OverF64 {
   int64_t lo, hi;
   size_t operator()(double v) const {
@@ -381,7 +381,7 @@ Status MisalignedOutside(const Column& col, oid id, RowRange range) {
 // Strict-mode validation: a branchless violation count first (vectorizes to
 // a sum-reduction, like BoundsCheckIds' max pre-pass); only on failure do we
 // rescan in input order, checking beyond-column before out-of-slice per id —
-// the same id fails with the same error the scalar interpreter reports.
+// the same id fails with the same error a row-at-a-time scan reports.
 Status StrictCheckIds(const Column& col, const oid* ids, size_t n,
                       RowRange range) {
   const oid csize = col.size();

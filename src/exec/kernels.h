@@ -1,16 +1,17 @@
 // Vectorized batch kernels over selection vectors.
 //
-// The scalar interpreter (evaluator.cc) tests a per-row lambda that
-// re-dispatches on predicate kind and column type for every tuple. These
-// kernels hoist all of that out of the loop: dispatch happens once per
-// operator, the inner loop is a predicate-specialized tight loop writing a
-// selection vector branch-free (dst[k] = i; k += pred(v)), and every output
-// buffer is sized once up front. This is the Vectorwise-style execution the
+// A row-at-a-time select tests a per-row lambda that re-dispatches on
+// predicate kind and column type for every tuple. These kernels hoist all
+// of that out of the loop: dispatch happens once per operator, the inner
+// loop is a predicate-specialized tight loop writing a selection vector
+// branch-free (dst[k] = i; k += pred(v)), and every output buffer is sized
+// once up front. This is the Vectorwise-style execution the
 // paper measures against, applied to the whole-column (MonetDB-style)
 // operators this repository interprets.
 //
-// All kernels reproduce the scalar path bit-for-bit, including the dynamic
-// partition boundary rules of paper Figs 9/10 (kStrict errors on out-of-slice
+// All kernels reproduce the row-at-a-time loops (kept as the test reference,
+// tests/reference_ops.h) bit-for-bit, including the dynamic partition
+// boundary rules of paper Figs 9/10 (kStrict errors on out-of-slice
 // row ids, kAdjust clips them for the sibling clones to produce).
 #ifndef APQ_EXEC_KERNELS_H_
 #define APQ_EXEC_KERNELS_H_
@@ -61,7 +62,7 @@ void SelectCandidatesSpan(const Column& col, RowRange range,
 /// Fetch-join gather over `ids[0..n)`: materializes col[id] for every id
 /// into `values` (and the surviving ids into `head`), in input order.
 ///  - Any id beyond the column is a Misaligned error (reported for the first
-///    offending id, matching the scalar interpreter).
+///    offending id, matching a row-at-a-time scan).
 ///  - When `sliced`, ids outside `range` are a Misaligned error under
 ///    AlignPolicy::kStrict and are clipped under AlignPolicy::kAdjust.
 /// Error selection is per-span first-offender, so taking the error of the

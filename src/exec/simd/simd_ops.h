@@ -73,7 +73,7 @@ struct SimdOps {
   size_t (*select_range_f64)(const double* data, oid begin, oid end, double lo,
                              double hi, oid* dst) = nullptr;
   /// RangeF64 predicate over int64 storage (value cast to double, as the
-  /// scalar interpreter does). Needs exact int64->double lanes (AVX-512DQ).
+  /// generic loop does). Needs exact int64->double lanes (AVX-512DQ).
   size_t (*select_range_f64_over_i64)(const int64_t* data, oid begin, oid end,
                                       double lo, double hi, oid* dst) = nullptr;
   /// RangeI64/EqI64 over float64 storage (value truncated, vcvttpd2qq).
@@ -119,7 +119,7 @@ struct SimdOps {
                      double* mx) = nullptr;
   /// Guarded exact SUM over int64 values: returns true and sets *sum only
   /// when n * max|v| <= 2^53, in which case EVERY association order of the
-  /// double fold (including the scalar interpreter's sequential one) is
+  /// double fold (including the sequential one) is
   /// exact and equal to the integer sum — bit-identical by proof, not by
   /// luck. Returns false (caller folds sequentially) otherwise.
   bool (*sum_i64_exact)(const int64_t* v, size_t n, double* sum) = nullptr;

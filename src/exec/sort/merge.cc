@@ -148,23 +148,18 @@ std::vector<uint64_t> SplitRuns(const std::vector<RunSpan>& runs,
 }
 
 size_t ParallelMergeRuns(const std::vector<RunSpan>& runs,
-                         const SortKeyLess& less,
-                         const ParallelSortOptions& opts, uint64_t out_len,
-                         uint64_t* out, std::vector<MorselMetrics>* morsels) {
+                         const SortKeyLess& less, MorselScheduler& fleet,
+                         uint64_t chunk_rows, uint64_t out_len, uint64_t* out,
+                         std::vector<MorselMetrics>* morsels) {
   if (out_len == 0) return 0;
-  uint64_t chunk = opts.merge_chunk_rows;
+  uint64_t chunk = chunk_rows;
   if (chunk == 0) {
-    const uint64_t workers =
-        opts.scheduler ? static_cast<uint64_t>(opts.scheduler->num_workers())
-                       : 0;
     // ~2 chunks per worker (plus the caller) keeps stealing useful without
     // paying a split search per few rows.
-    const uint64_t tasks = 2 * (workers + 1);
+    const uint64_t tasks = 2 * (static_cast<uint64_t>(fleet.num_workers()) + 1);
     chunk = std::max(kMinMergeChunkRows, (out_len + tasks - 1) / tasks);
   }
-  size_t nchunks = static_cast<size_t>((out_len + chunk - 1) / chunk);
-  if (opts.scheduler == nullptr) nchunks = 1;
-  if (nchunks == 1) chunk = out_len;
+  const size_t nchunks = static_cast<size_t>((out_len + chunk - 1) / chunk);
 
   // Output boundaries: chunk j merges runs[r][bounds[j][r], bounds[j+1][r]).
   std::vector<std::vector<uint64_t>> bounds(nchunks + 1);
@@ -190,12 +185,10 @@ size_t ParallelMergeRuns(const std::vector<RunSpan>& runs,
                          rows * sizeof(uint64_t));
     mm[j] = MorselMetrics{0, rows, NowNs() - t0, worker};
   };
-  if (opts.scheduler != nullptr && nchunks > 1) {
-    opts.scheduler->ParallelFor(nchunks, merge_chunk);
+  if (nchunks > 1) {
+    fleet.ParallelFor(nchunks, merge_chunk);
   } else {
-    for (size_t j = 0; j < nchunks; ++j) {
-      merge_chunk(j, MorselScheduler::kCallerWorker);
-    }
+    merge_chunk(0, MorselScheduler::kCallerWorker);
   }
 
   morsels->insert(morsels->end(), mm.begin(), mm.end());

@@ -72,19 +72,18 @@ std::vector<uint64_t> SplitRuns(const std::vector<RunSpan>& runs,
 
 /// \brief Parallel k-way merge: partitions the output [0, out_len) into
 /// chunks at SplitRuns boundaries and merges each chunk with its own loser
-/// tree on the scheduler, one disjoint output range per task.
+/// tree on `fleet`, one disjoint output range per task.
 ///
-/// Chunk size is opts.merge_chunk_rows, or (when 0) sized so roughly two
-/// chunks exist per scheduler worker with a floor that keeps tiny outputs
-/// sequential. Appends one MorselMetrics per chunk (tuples_in = 0,
-/// tuples_out = chunk rows: run-formation morsels already account for the
-/// operator's input rows, so input and output sums stay exact). Runs
-/// sequentially (single chunk) when the scheduler is null. Returns the chunk
-/// count.
+/// Chunk size is `chunk_rows`, or (when 0) sized so roughly two chunks exist
+/// per fleet worker with a floor that keeps tiny outputs in one chunk (tests
+/// shrink it to exercise multi-chunk merges on small inputs). Appends one
+/// MorselMetrics per chunk (tuples_in = 0, tuples_out = chunk rows:
+/// run-formation morsels already account for the operator's input rows, so
+/// input and output sums stay exact). Returns the chunk count.
 size_t ParallelMergeRuns(const std::vector<RunSpan>& runs,
-                         const SortKeyLess& less,
-                         const ParallelSortOptions& opts, uint64_t out_len,
-                         uint64_t* out, std::vector<MorselMetrics>* morsels);
+                         const SortKeyLess& less, MorselScheduler& fleet,
+                         uint64_t chunk_rows, uint64_t out_len, uint64_t* out,
+                         std::vector<MorselMetrics>* morsels);
 
 }  // namespace apq
 

@@ -1,18 +1,18 @@
-// Morsel-local stable sorted runs: phase one of the parallel sort subsystem.
+// Sort, the sort operator's one routine: SortPerm orders input positions by
+// the total order (key value, original position).
 //
-// Sort was the last heavy operator still running whole-column: one
-// std::stable_sort over the full input for both kSort and kTopN. This
-// subsystem splits the input into morsels on the work-stealing scheduler
-// (sched/morsel_scheduler.h): each morsel is sorted into a *run* of input
-// positions ordered by the total order (key value, original position), and
-// the runs are combined by the merge-path-partitioned loser-tree merge in
+// With no fleet, or an input that fits one morsel, SortPerm sorts one run
+// inline straight into the permutation. Otherwise it splits the input into
+// morsels on the work-stealing scheduler (sched/morsel_scheduler.h): each
+// morsel is sorted into a *run* of input positions, and the runs are
+// combined by the merge-path-partitioned loser-tree merge in
 // exec/sort/merge.h.
 //
 // Keying every comparison by (value, position) is what makes the pipeline
 // schedule-invariant: positions are globally unique, so the order is total,
 // ties between equal values always resolve to the earlier input position
 // (exactly std::stable_sort's guarantee), and the merged permutation is THE
-// unique sorted permutation — bit-identical to the scalar path at any morsel
+// unique sorted permutation — bit-identical to the inline run at any morsel
 // size, worker count, or steal order.
 //
 // The bounded top-N path reuses the same machinery: each run keeps only its
@@ -32,9 +32,8 @@
 namespace apq {
 
 /// \brief Read-only view of the sort key column: float64 or int64 (whichever
-/// pointer is non-null). Keys compare as doubles — the scalar comparator's
-/// ValueVec::AsDouble semantics — so the parallel and scalar paths cannot
-/// diverge on integer inputs.
+/// pointer is non-null). Keys compare as doubles — ValueVec::AsDouble
+/// semantics — so int64 and float64 inputs share one comparator.
 struct SortKeys {
   const double* f64 = nullptr;
   const int64_t* i64 = nullptr;
@@ -45,9 +44,9 @@ struct SortKeys {
 };
 
 /// \brief The sort subsystem's single comparator: a strict *total* order over
-/// (key value, input position). Shared by the scalar interpreter path and
-/// every parallel phase (run sort, split search, loser-tree merge), so the
-/// tie-break semantics cannot drift between them. Sorting positions with this
+/// (key value, input position). Shared by the inline run and every parallel
+/// phase (run sort, split search, loser-tree merge), so the tie-break
+/// semantics cannot drift between them. Sorting positions with this
 /// comparator reproduces std::stable_sort over values bit-for-bit.
 struct SortKeyLess {
   SortKeys keys;
@@ -64,44 +63,32 @@ struct SortKeyLess {
   }
 };
 
-/// \brief How the sort pipeline splits and schedules its input.
-struct ParallelSortOptions {
-  uint64_t morsel_rows = kDefaultMorselRows;
-  MorselScheduler* scheduler = nullptr;  ///< required; callers share fleets
-  /// Top-N bound: >0 keeps only the `limit` smallest (under the sort order)
-  /// elements of each run, and the merge emits only `limit` rows. 0 = full
-  /// sort. Callers pass 0 when limit >= n (the scalar path's degenerate
-  /// top-N, which sorts everything).
-  uint64_t limit = 0;
-  /// Output rows per parallel-merge chunk (0 = sized from the worker count;
-  /// see merge.h). Tests shrink this to exercise multi-chunk merges on small
-  /// inputs.
-  uint64_t merge_chunk_rows = 0;
-};
-
-/// \brief Sequential permutation sort — the scalar interpreter's path, built
-/// on the same shared comparator. Fills `perm` with positions [0, n) ordered
-/// by (value, position); `limit` in (0, n) switches to a heap-based
-/// std::partial_sort that emits only the first `limit` rows of the sorted
-/// order instead of fully sorting n rows.
-void SortPermSequential(const SortKeys& keys, uint64_t n, bool descending,
-                        uint64_t limit, std::vector<uint64_t>* perm);
-
-/// \brief Morsel-parallel run formation over positions [0, n).
+/// \brief Morsel-parallel run formation over positions [0, n) on `fleet`.
 ///
-/// Appends one sorted run per morsel to `runs` (run i = morsel i's positions
-/// in (value, position) order, clipped to `opts.limit` when bounded) and one
-/// MorselMetrics per run to `morsels` (tuples_in = morsel rows, so the run
-/// tasks sum to the n rows sorted; tuples_out = 0 — output rows are
-/// accounted by the merge chunks).
+/// Appends one sorted run per morsel of `morsel_rows` to `runs` (run i =
+/// morsel i's positions in (value, position) order, clipped to its `limit`
+/// smallest when 0 < limit) and one MorselMetrics per run to `morsels`
+/// (tuples_in = morsel rows, so the run tasks sum to the n rows sorted;
+/// tuples_out = 0 — output rows are accounted by the merge chunks). Each run
+/// is charged durably; the caller owes the matching release.
+void BuildSortRuns(const SortKeyLess& less, uint64_t n, uint64_t limit,
+                   MorselScheduler& fleet, uint64_t morsel_rows,
+                   std::vector<std::vector<uint64_t>>* runs,
+                   std::vector<MorselMetrics>* morsels);
+
+/// \brief The sort operator's permutation: fills `perm` with the first
+/// min(limit, n) positions of [0, n) (limit = 0 sorts everything) in
+/// (value, position) order, the permutation std::stable_sort gives.
 ///
-/// Returns the number of runs; 0 when the input fits in fewer than two
-/// morsels or no scheduler was given — the caller should then run
-/// SortPermSequential (nothing has been written).
-size_t BuildSortRuns(const SortKeys& keys, uint64_t n,
-                     const ParallelSortOptions& opts, bool descending,
-                     std::vector<std::vector<uint64_t>>* runs,
-                     std::vector<MorselMetrics>* morsels);
+/// Runs inline — one run sorted straight into `perm`, `morsels` untouched —
+/// when `fleet` is null or [0, n) fits one morsel of `morsel_rows`.
+/// Otherwise builds one run per morsel on the fleet (BuildSortRuns) and
+/// merges them (ParallelMergeRuns), appending the run tasks' MorselMetrics
+/// (carrying tuples_in) and then the merge chunks' (carrying tuples_out).
+void SortPerm(const SortKeys& keys, uint64_t n, bool descending,
+              uint64_t limit, MorselScheduler* fleet, uint64_t morsel_rows,
+              std::vector<uint64_t>* perm,
+              std::vector<MorselMetrics>* morsels);
 
 }  // namespace apq
 

@@ -99,6 +99,21 @@ StatusOr<std::vector<int>> QueryPlan::TopologicalOrder() const {
   return order;
 }
 
+namespace {
+
+// Join keys and leaf group-by keys are read as int64 (ints, dates and
+// dictionary codes); a float64 column has no int64 storage to read.
+Status CheckIntKeys(const Column* col, const char* role) {
+  if (col != nullptr && col->type() == DataType::kFloat64) {
+    return Status::InvalidArgument(std::string(role) + " column '" +
+                                   col->name() + "' is float64; keys must "
+                                   "be int64, date or string");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Status QueryPlan::Validate() const {
   auto order_or = TopologicalOrder();
   if (!order_or.ok()) return order_or.status();
@@ -125,10 +140,15 @@ Status QueryPlan::Validate() const {
         if (n.inputs.empty() && !n.column) {
           return Status::InvalidArgument("leaf join needs an outer column");
         }
+        APQ_RETURN_NOT_OK(CheckIntKeys(n.column, "join outer"));
+        APQ_RETURN_NOT_OK(CheckIntKeys(n.column2, "join inner"));
         break;
       case OpKind::kGroupBy:
         if (n.inputs.size() != 1 && !n.column) {
           return Status::InvalidArgument("groupby needs an input or a column");
+        }
+        if (n.inputs.empty()) {
+          APQ_RETURN_NOT_OK(CheckIntKeys(n.column, "groupby"));
         }
         break;
       case OpKind::kAggregate:

@@ -17,8 +17,8 @@
 //
 // Response block:
 //
-//   OK id=<qid> tag=<n> kind=<kind> rows=<r> workers=<w> wall_ns=<ns> \
-//      queue_wait_ns=<ns>
+//   OK id=<qid> tag=<n> kind=<kind> rows=<r> workers=<w> wall_ns=<ns>
+//      queue_wait_ns=<ns>           (one header line, wrapped here)
 //   ROW <v1> [<v2> [<v3>]]          (one line per result row)
 //   END
 //

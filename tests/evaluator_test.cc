@@ -387,5 +387,44 @@ TEST_F(EvaluatorTest, MisalignedBinaryMapIsAnError) {
   EXPECT_EQ(st.code(), StatusCode::kMisaligned);
 }
 
+// Group-by and join keys are read as int64: a float64 key column is a plan
+// error, not a read of the column's (empty) int64 storage.
+TEST_F(EvaluatorTest, LeafGroupByOverFloatColumnIsInvalid) {
+  PlanBuilder b("t");
+  int g = b.GroupByLeaf(floats_.get());
+  QueryPlan plan = b.Result(g);
+  EvalResult er;
+  EXPECT_EQ(eval_.Execute(plan, &er).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EvaluatorTest, LeafGroupByOverFloatColumnIsInvalidWithAFleet) {
+  PlanBuilder b("t");
+  int g = b.GroupByLeaf(floats_.get());
+  QueryPlan plan = b.Result(g);
+  ExecOptions o;
+  o.use_morsels = true;
+  o.morsel_rows = 2;
+  o.morsel_workers = 2;
+  Evaluator eval(o);
+  EvalResult er;
+  EXPECT_EQ(eval.Execute(plan, &er).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EvaluatorTest, JoinWithFloatOuterColumnIsInvalid) {
+  PlanBuilder b("t");
+  int j = b.JoinLeaf(floats_.get(), pk_.get());
+  QueryPlan plan = b.Result(j);
+  EvalResult er;
+  EXPECT_EQ(eval_.Execute(plan, &er).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(EvaluatorTest, JoinWithFloatInnerColumnIsInvalid) {
+  PlanBuilder b("t");
+  int j = b.JoinLeaf(fk_.get(), dim_.get());
+  QueryPlan plan = b.Result(j);
+  EvalResult er;
+  EXPECT_EQ(eval_.Execute(plan, &er).code(), StatusCode::kInvalidArgument);
+}
+
 }  // namespace
 }  // namespace apq

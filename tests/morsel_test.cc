@@ -1,7 +1,8 @@
 // Morsel-driven intra-operator execution: the work-stealing scheduler, the
 // morsel source, and — above all — bit-identity of morsel execution against
-// whole-column kernels and the scalar interpreter across morsel sizes, worker
-// counts, table shapes, and predicate selectivities.
+// whole-column kernels and the row-at-a-time reference (reference_ops.h)
+// across morsel sizes, worker counts, table shapes, and predicate
+// selectivities.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include "exec/evaluator.h"
 #include "exec/morsel_source.h"
 #include "plan/builder.h"
+#include "reference_ops.h"
 #include "sched/morsel_scheduler.h"
 #include "util/hash_clock.h"
 #include "util/rng.h"
@@ -188,7 +190,7 @@ TEST(MorselSchedulerTest, WorkerStatsAccountForAllTasks) {
   EXPECT_EQ(counted, sched.total_tasks());
 }
 
-// ---- differential: morsel vs whole-column vs scalar ------------------------
+// ---- differential: morsel vs whole-column vs reference ---------------------
 
 // The morsel sizes the acceptance criteria call out: pathological (1), odd
 // (7), sub-default (4096), default (64K), and larger than any test table.
@@ -217,17 +219,14 @@ class MorselDifferentialTest : public ::testing::Test {
     return b.Result(f);
   }
 
-  // Reference = scalar interpreter; baseline = whole-column kernels; subject
-  // = morsel execution at every (morsel size x worker count) combination.
+  // Reference = reference_ops.h, recomputed per node; baseline =
+  // whole-column kernels; subject = morsel execution at every (morsel size x
+  // worker count) combination. Every run is checked against the reference.
   void ExpectMorselMatches(const QueryPlan& plan) {
-    ExecOptions scalar_options;
-    scalar_options.use_kernels = false;
-    Evaluator scalar(scalar_options);
     Evaluator whole;  // kernels, no morsels
-    EvalResult ref, base;
-    ASSERT_TRUE(scalar.Execute(plan, &ref).ok());
+    EvalResult base;
     ASSERT_TRUE(whole.Execute(plan, &base).ok());
-    ASSERT_EQ(DiffIntermediates(ref.result, base.result), "");
+    ASSERT_EQ(ref::CheckAgainstReference(plan, base), "");
 
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
@@ -240,6 +239,8 @@ class MorselDifferentialTest : public ::testing::Test {
         ASSERT_TRUE(morsel.Execute(plan, &got).ok())
             << "rows=" << rows << " workers=" << workers;
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
+            << "rows=" << rows << " workers=" << workers;
+        EXPECT_EQ(ref::CheckAgainstReference(plan, got), "")
             << "rows=" << rows << " workers=" << workers;
         ASSERT_EQ(base.metrics.size(), got.metrics.size());
         for (size_t i = 0; i < base.metrics.size(); ++i) {
@@ -348,18 +349,6 @@ TEST_F(MorselDifferentialTest, StrictMisalignmentReportsSameErrorAsSerial) {
     EXPECT_EQ(st.code(), serial_st.code()) << "rows=" << rows;
     EXPECT_EQ(st.message(), serial_st.message()) << "rows=" << rows;
   }
-}
-
-TEST_F(MorselDifferentialTest, ScalarInterpreterIsNeverMorselized) {
-  ExecOptions o;
-  o.use_kernels = false;
-  o.use_morsels = true;  // must be ignored without kernels
-  o.morsel_rows = 64;
-  Evaluator eval(o);
-  EXPECT_FALSE(eval.MorselsEnabled());
-  EvalResult er;
-  ASSERT_TRUE(eval.Execute(Pipeline(499, 0.5), &er).ok());
-  for (const auto& m : er.metrics) EXPECT_TRUE(m.morsels.empty());
 }
 
 // ---- wall-clock speedup (gated on real cores) ------------------------------

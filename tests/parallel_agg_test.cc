@@ -1,22 +1,23 @@
-// The parallel aggregation subsystem (exec/agg/): AggTable unit tests, and —
-// above all — differential tests of morsel-parallel group-by ingest and
-// hash-join probe, and of the grouped aggregation over their output, against
-// the scalar interpreter and the whole-column kernels, across morsel sizes,
-// worker counts, key distributions, and all aggregate functions. Group ids
-// must reproduce the scalar first-occurrence numbering bit-for-bit; join
-// pairs must concatenate in morsel (= input) order.
+// The aggregation subsystem (exec/agg/): AggTable unit tests, and — above
+// all — differential tests of group-by ingest (inline and morsel-parallel)
+// and hash-join probe, and of the grouped aggregation over their output,
+// against the row-at-a-time reference (reference_ops.h) and the whole-column
+// run, across morsel sizes, worker counts, key distributions, and all
+// aggregate functions. Group ids must reproduce the reference's
+// first-occurrence numbering bit-for-bit; join pairs must concatenate in
+// morsel (= input) order.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
 #include <thread>
-#include <unordered_map>
 
 #include "exec/agg/agg_table.h"
 #include "exec/agg/parallel_agg.h"
 #include "exec/compare.h"
 #include "exec/evaluator.h"
 #include "plan/builder.h"
+#include "reference_ops.h"
 #include "util/rng.h"
 
 namespace apq {
@@ -76,23 +77,11 @@ TEST(AggTableTest, GrowsPastInitialCapacityWithoutLosingKeys) {
   }
 }
 
-// ---- ParallelGroupBy (function level) --------------------------------------
+// ---- GroupByIngest (function level) ----------------------------------------
 
-// Scalar reference: the evaluator's sequential insert loop.
-void ReferenceGroupBy(const std::vector<int64_t>& keys,
-                      std::vector<int64_t>* gids,
-                      std::vector<int64_t>* uniq) {
-  std::unordered_map<int64_t, int64_t> map;
-  for (int64_t k : keys) {
-    auto [it, ins] = map.emplace(k, static_cast<int64_t>(map.size()));
-    if (ins) uniq->push_back(k);
-    gids->push_back(it->second);
-  }
-}
+class GroupByIngestTest : public ::testing::TestWithParam<int> {};
 
-class ParallelGroupByTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelGroupByTest, BitIdenticalToScalarAcrossMorselSizes) {
+TEST_P(GroupByIngestTest, BitIdenticalToReferenceAcrossMorselSizes) {
   const int workers = GetParam();
   MorselScheduler sched(workers);
   Rng rng(13);
@@ -100,27 +89,24 @@ TEST_P(ParallelGroupByTest, BitIdenticalToScalarAcrossMorselSizes) {
   for (auto& k : keys) k = rng.UniformRange(0, 999);
 
   std::vector<int64_t> ref_gids, ref_keys;
-  ReferenceGroupBy(keys, &ref_gids, &ref_keys);
+  ref::GroupIds(keys, &ref_gids, &ref_keys);
 
   for (uint64_t rows : kMorselSizes) {
-    ParallelAggOptions o;
-    o.morsel_rows = rows;
-    o.scheduler = &sched;
     std::vector<int64_t> gids, uniq;
     std::vector<MorselMetrics> mm;
-    const size_t nm = ParallelGroupBy(keys.data(), keys.size(), o, &gids,
-                                      &uniq, &mm);
-    if (nm == 0) continue;  // one morsel: sequential path's job
+    GroupByIngest(keys.data(), keys.size(), &sched, rows, &gids, &uniq, &mm);
     EXPECT_EQ(gids, ref_gids) << "rows=" << rows << " workers=" << workers;
     EXPECT_EQ(uniq, ref_keys) << "rows=" << rows << " workers=" << workers;
-    ASSERT_EQ(mm.size(), nm);
+    // One morsel runs inline and records no morsels.
+    const size_t nm = MorselSource(0, keys.size(), rows).num_morsels();
+    ASSERT_EQ(mm.size(), nm < 2 ? 0 : nm) << "rows=" << rows;
     uint64_t in = 0;
     for (const auto& ms : mm) in += ms.tuples_in;
-    EXPECT_EQ(in, keys.size());
+    EXPECT_EQ(in, mm.empty() ? 0 : keys.size());
   }
 }
 
-TEST_P(ParallelGroupByTest, AllDistinctAndSingleGroupExtremes) {
+TEST_P(GroupByIngestTest, AllDistinctAndSingleGroupExtremes) {
   const int workers = GetParam();
   MorselScheduler sched(workers);
   for (bool distinct : {true, false}) {
@@ -129,21 +115,42 @@ TEST_P(ParallelGroupByTest, AllDistinctAndSingleGroupExtremes) {
       keys[i] = distinct ? static_cast<int64_t>(keys.size() - i) : 77;
     }
     std::vector<int64_t> ref_gids, ref_keys;
-    ReferenceGroupBy(keys, &ref_gids, &ref_keys);
-    ParallelAggOptions o;
-    o.morsel_rows = 512;
-    o.scheduler = &sched;
+    ref::GroupIds(keys, &ref_gids, &ref_keys);
     std::vector<int64_t> gids, uniq;
     std::vector<MorselMetrics> mm;
-    ASSERT_GT(ParallelGroupBy(keys.data(), keys.size(), o, &gids, &uniq, &mm),
-              0u);
+    GroupByIngest(keys.data(), keys.size(), &sched, 512, &gids, &uniq, &mm);
+    EXPECT_GT(mm.size(), 1u);
     EXPECT_EQ(gids, ref_gids) << "distinct=" << distinct;
     EXPECT_EQ(uniq, ref_keys) << "distinct=" << distinct;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Workers, ParallelGroupByTest,
+INSTANTIATE_TEST_SUITE_P(Workers, GroupByIngestTest,
                          ::testing::Values(1, 2, 4, 8));
+
+TEST(GroupByIngestInlineTest, NoFleetOneMorselEmptyAndOneRowMatchReference) {
+  MorselScheduler sched(2);
+  Rng rng(5);
+  std::vector<int64_t> many(5000);
+  for (auto& k : many) k = rng.UniformRange(-20, 20);
+  const std::vector<std::vector<int64_t>> inputs = {many, {}, {42}};
+  for (const std::vector<int64_t>& keys : inputs) {
+    std::vector<int64_t> ref_gids = {-1}, ref_keys = {-2};
+    ref::GroupIds(keys, &ref_gids, &ref_keys);
+    // No fleet at a morsel size that would split the input, and a fleet
+    // whose one morsel holds the whole input: both run inline, appending
+    // after what the outputs already hold.
+    for (bool fleet : {false, true}) {
+      std::vector<int64_t> gids = {-1}, uniq = {-2};
+      std::vector<MorselMetrics> mm;
+      GroupByIngest(keys.data(), keys.size(), fleet ? &sched : nullptr,
+                    fleet ? keys.size() + 1 : 7, &gids, &uniq, &mm);
+      EXPECT_EQ(gids, ref_gids) << "n=" << keys.size() << " fleet=" << fleet;
+      EXPECT_EQ(uniq, ref_keys) << "n=" << keys.size() << " fleet=" << fleet;
+      EXPECT_TRUE(mm.empty());
+    }
+  }
+}
 
 // ---- evaluator-level differential ------------------------------------------
 
@@ -192,16 +199,14 @@ class ParallelAggEvalTest : public ::testing::Test {
     return er;
   }
 
-  // Runs `plan` through scalar interpreter, whole-column kernels, and the
-  // parallel tier at every (morsel size x worker count); all three must
-  // agree, and kGroups/kPairs intermediates must agree *bit-identically*
-  // (vector equality, not just semantic DiffIntermediates).
+  // Runs `plan` whole-column and on the fleet at every (morsel size x
+  // worker count); every run must match the reference node by node, and
+  // kGroups/kPairs intermediates must agree with the whole-column run
+  // *bit-identically* (vector equality, not just semantic
+  // DiffIntermediates).
   void ExpectParallelMatches(const QueryPlan& plan) {
-    ExecOptions scalar;
-    scalar.use_kernels = false;
-    EvalResult ref = Run(plan, scalar);
     EvalResult base = Run(plan, ExecOptions{});
-    ASSERT_EQ(DiffIntermediates(ref.result, base.result), "");
+    ASSERT_EQ(ref::CheckAgainstReference(plan, base), "");
 
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
@@ -211,6 +216,8 @@ class ParallelAggEvalTest : public ::testing::Test {
         o.morsel_workers = workers;
         EvalResult got = Run(plan, o);
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
+            << "rows=" << rows << " workers=" << workers;
+        EXPECT_EQ(ref::CheckAgainstReference(plan, got), "")
             << "rows=" << rows << " workers=" << workers;
         ASSERT_EQ(base.intermediates.size(), got.intermediates.size());
         for (const auto& [id, inter] : base.intermediates) {

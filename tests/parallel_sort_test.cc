@@ -1,10 +1,11 @@
-// The parallel sort subsystem (exec/sort/): loser-tree and merge-path split
-// unit tests, and — above all — differential tests of morsel-parallel sort
-// and bounded top-N against the scalar stable sort, across morsel sizes,
-// worker counts, input shapes (values / rowids / leaf / grouped aggregates),
-// key distributions (heavy ties for stability stress), sort directions, and
-// top-N limits. The permutation must reproduce std::stable_sort over values
-// bit-for-bit: every comparison is keyed by (value, original position).
+// The sort subsystem (exec/sort/): loser-tree and merge-path split unit
+// tests, and — above all — differential tests of sort and bounded top-N
+// (inline and morsel-parallel) against the reference stable sort
+// (reference_ops.h), across morsel sizes, worker counts, input shapes
+// (values / rowids / leaf / grouped aggregates), key distributions (heavy
+// ties for stability stress), sort directions, and top-N limits. The
+// permutation must reproduce std::stable_sort over values bit-for-bit: every
+// comparison is keyed by (value, original position).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +17,7 @@
 #include "exec/evaluator.h"
 #include "exec/sort/merge.h"
 #include "plan/builder.h"
+#include "reference_ops.h"
 #include "sched/morsel_scheduler.h"
 #include "util/rng.h"
 
@@ -59,18 +61,6 @@ std::vector<RunSpan> Spans(const std::vector<std::vector<uint64_t>>& runs) {
   return s;
 }
 
-// The old scalar path: std::stable_sort over values only, then clip.
-std::vector<uint64_t> StableSortReference(const std::vector<double>& keys,
-                                          bool descending, uint64_t limit) {
-  std::vector<uint64_t> perm(keys.size());
-  std::iota(perm.begin(), perm.end(), uint64_t{0});
-  std::stable_sort(perm.begin(), perm.end(), [&](uint64_t x, uint64_t y) {
-    return descending ? keys[x] > keys[y] : keys[x] < keys[y];
-  });
-  if (limit > 0 && limit < perm.size()) perm.resize(limit);
-  return perm;
-}
-
 // ---- loser tree + sequential merge -----------------------------------------
 
 TEST(LoserTreeMergeTest, MergesRunsIntoTheStableSortPermutation) {
@@ -82,7 +72,7 @@ TEST(LoserTreeMergeTest, MergesRunsIntoTheStableSortPermutation) {
       const auto runs = ChunkRuns(less, n, rows);
       std::vector<uint64_t> out(n);
       MergeRuns(Spans(runs), less, out.data(), n);
-      EXPECT_EQ(out, StableSortReference(keys, desc, 0))
+      EXPECT_EQ(out, ref::StableSortPerm(keys, desc, 0))
           << "rows=" << rows << " desc=" << desc;
     }
   }
@@ -95,8 +85,8 @@ TEST(LoserTreeMergeTest, StopsAtOutLen) {
   const auto runs = ChunkRuns(less, n, 64);
   std::vector<uint64_t> out(10);
   MergeRuns(Spans(runs), less, out.data(), 10);
-  const auto ref = StableSortReference(keys, false, 10);
-  EXPECT_EQ(out, ref);
+  const auto want = ref::StableSortPerm(keys, false, 10);
+  EXPECT_EQ(out, want);
 }
 
 TEST(LoserTreeMergeTest, HandlesEmptySingleAndPaddedRunCounts) {
@@ -109,7 +99,7 @@ TEST(LoserTreeMergeTest, HandlesEmptySingleAndPaddedRunCounts) {
   const auto one = ChunkRuns(less, keys.size(), keys.size());
   out.resize(keys.size());
   MergeRuns(Spans(one), less, out.data(), out.size());
-  EXPECT_EQ(out, StableSortReference(keys, false, 0));
+  EXPECT_EQ(out, ref::StableSortPerm(keys, false, 0));
   // Three runs (pads to four leaves) with an empty span in the middle.
   std::vector<uint64_t> a = {5, 1}, b = {}, c = {3, 0, 2, 4};
   std::sort(a.begin(), a.end(), less);
@@ -118,7 +108,7 @@ TEST(LoserTreeMergeTest, HandlesEmptySingleAndPaddedRunCounts) {
                                 RunSpan{b.data(), b.size()},
                                 RunSpan{c.data(), c.size()}};
   MergeRuns(spans, less, out.data(), out.size());
-  EXPECT_EQ(out, StableSortReference(keys, false, 0));
+  EXPECT_EQ(out, ref::StableSortPerm(keys, false, 0));
 }
 
 // ---- merge-path splits -----------------------------------------------------
@@ -130,7 +120,7 @@ TEST(SplitRunsTest, PartitionsEveryRankExactly) {
     const SortKeyLess less{SortKeys{keys.data(), nullptr}, desc};
     const auto runs = ChunkRuns(less, n, 37);
     const auto spans = Spans(runs);
-    const auto ref = StableSortReference(keys, desc, 0);
+    const auto want = ref::StableSortPerm(keys, desc, 0);
     for (uint64_t t = 0; t <= n; ++t) {
       const auto splits = SplitRuns(spans, less, t);
       ASSERT_EQ(splits.size(), spans.size());
@@ -144,7 +134,7 @@ TEST(SplitRunsTest, PartitionsEveryRankExactly) {
       ASSERT_EQ(sum, t) << "desc=" << desc;
       // The prefixes must be exactly the t smallest elements.
       std::sort(prefix.begin(), prefix.end(), less);
-      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), ref.begin()))
+      EXPECT_TRUE(std::equal(prefix.begin(), prefix.end(), want.begin()))
           << "t=" << t << " desc=" << desc;
     }
   }
@@ -159,17 +149,14 @@ TEST_P(ParallelMergeTest, ChunkedMergeBitIdenticalToSequential) {
   const SortKeyLess less{SortKeys{keys.data(), nullptr}, false};
   const auto runs = ChunkRuns(less, n, 113);
   const auto spans = Spans(runs);
-  const auto ref = StableSortReference(keys, false, 0);
+  const auto want = ref::StableSortPerm(keys, false, 0);
   for (uint64_t chunk : {uint64_t{1}, uint64_t{3}, uint64_t{16}, uint64_t{64},
                          uint64_t{100000}}) {
-    ParallelSortOptions o;
-    o.scheduler = &sched;
-    o.merge_chunk_rows = chunk;
     std::vector<uint64_t> out(n);
     std::vector<MorselMetrics> mm;
-    const size_t nchunks = ParallelMergeRuns(spans, less, o, n, out.data(),
-                                             &mm);
-    EXPECT_EQ(out, ref) << "chunk=" << chunk;
+    const size_t nchunks =
+        ParallelMergeRuns(spans, less, sched, chunk, n, out.data(), &mm);
+    EXPECT_EQ(out, want) << "chunk=" << chunk;
     ASSERT_EQ(mm.size(), nchunks);
     uint64_t out_sum = 0;
     for (const auto& ms : mm) out_sum += ms.tuples_out;
@@ -183,13 +170,11 @@ TEST_P(ParallelMergeTest, ChunkedTopNMergeEmitsExactlyTheLimit) {
   const std::vector<double> keys = TiedKeys(n, 23, 12);
   const SortKeyLess less{SortKeys{keys.data(), nullptr}, true};
   const auto runs = ChunkRuns(less, n, 71);
-  ParallelSortOptions o;
-  o.scheduler = &sched;
-  o.merge_chunk_rows = 50;
   std::vector<uint64_t> out(limit);
   std::vector<MorselMetrics> mm;
-  ParallelMergeRuns(Spans(runs), less, o, limit, out.data(), &mm);
-  EXPECT_EQ(out, StableSortReference(keys, true, limit));
+  ParallelMergeRuns(Spans(runs), less, sched, /*chunk_rows=*/50, limit,
+                    out.data(), &mm);
+  EXPECT_EQ(out, ref::StableSortPerm(keys, true, limit));
   uint64_t out_sum = 0;
   for (const auto& ms : mm) out_sum += ms.tuples_out;
   EXPECT_EQ(out_sum, limit);
@@ -198,19 +183,69 @@ TEST_P(ParallelMergeTest, ChunkedTopNMergeEmitsExactlyTheLimit) {
 INSTANTIATE_TEST_SUITE_P(Workers, ParallelMergeTest,
                          ::testing::Values(1, 2, 4, 8));
 
-// ---- sequential helper (the scalar interpreter path) -----------------------
+// ---- SortPerm inline (no fleet, or one morsel) ----------------------------
 
-TEST(SortPermSequentialTest, TopNPartialSortMatchesOldFullStableSort) {
+TEST(SortPermInlineTest, TopNPartialSortMatchesReference) {
   const uint64_t n = 5000;
   const std::vector<double> keys = TiedKeys(n, 31, 60);
   for (bool desc : {false, true}) {
     for (uint64_t limit : {uint64_t{0}, uint64_t{1}, n - 1, n, n + 10}) {
       std::vector<uint64_t> perm;
-      SortPermSequential(SortKeys{keys.data(), nullptr}, n, desc,
-                         limit > 0 && limit < n ? limit : 0, &perm);
-      EXPECT_EQ(perm, StableSortReference(keys, desc, limit))
+      std::vector<MorselMetrics> mm;
+      SortPerm(SortKeys{keys.data(), nullptr}, n, desc,
+               limit > 0 && limit < n ? limit : 0, /*fleet=*/nullptr,
+               /*morsel_rows=*/64, &perm, &mm);
+      EXPECT_EQ(perm, ref::StableSortPerm(keys, desc, limit))
           << "desc=" << desc << " limit=" << limit;
+      EXPECT_TRUE(mm.empty());
     }
+  }
+}
+
+TEST(SortPermInlineTest, NoFleetOneMorselEmptyAndOneRowMatchReference) {
+  MorselScheduler sched(2);
+  const std::vector<double> tied = TiedKeys(3000, 1, 5);
+  const std::vector<std::vector<double>> inputs = {tied, {}, {2.5}};
+  for (const std::vector<double>& keys : inputs) {
+    const uint64_t n = keys.size();
+    for (uint64_t limit : {uint64_t{0}, uint64_t{2}}) {
+      // No fleet at a morsel size that would split the input, and a fleet
+      // whose one morsel holds the whole input: both sort one run inline.
+      for (bool fleet : {false, true}) {
+        std::vector<uint64_t> perm;
+        std::vector<MorselMetrics> mm;
+        SortPerm(SortKeys{keys.data(), nullptr}, n, /*descending=*/false,
+                 limit, fleet ? &sched : nullptr, fleet ? n + 1 : 7, &perm,
+                 &mm);
+        EXPECT_EQ(perm, ref::StableSortPerm(keys, false, limit))
+            << "n=" << n << " limit=" << limit << " fleet=" << fleet;
+        EXPECT_TRUE(mm.empty());
+      }
+    }
+  }
+}
+
+TEST(SortPermParallelTest, RunsThenMergeChunksSumToInputAndOutput) {
+  MorselScheduler sched(4);
+  const uint64_t n = 5000;
+  const std::vector<double> keys = TiedKeys(n, 29, 30);
+  for (uint64_t limit : {uint64_t{0}, uint64_t{100}}) {
+    std::vector<uint64_t> perm;
+    std::vector<MorselMetrics> mm;
+    SortPerm(SortKeys{keys.data(), nullptr}, n, /*descending=*/true, limit,
+             &sched, /*morsel_rows=*/512, &perm, &mm);
+    EXPECT_EQ(perm, ref::StableSortPerm(keys, true, limit)) << limit;
+    // One entry per run (tuples_in), then one per merge chunk (tuples_out).
+    const size_t runs = (n + 511) / 512;
+    ASSERT_GT(mm.size(), runs);
+    uint64_t in = 0, out = 0;
+    for (size_t i = 0; i < mm.size(); ++i) {
+      EXPECT_EQ(i < runs ? mm[i].tuples_out : mm[i].tuples_in, 0u) << i;
+      in += mm[i].tuples_in;
+      out += mm[i].tuples_out;
+    }
+    EXPECT_EQ(in, n);
+    EXPECT_EQ(out, perm.size());
   }
 }
 
@@ -222,17 +257,13 @@ TEST_P(BuildSortRunsTest, RunsAreStableSortedAndMetricsSumToInput) {
   MorselScheduler sched(GetParam());
   const uint64_t n = 5000;
   const std::vector<double> keys = TiedKeys(n, 5, 30);
-  ParallelSortOptions o;
-  o.morsel_rows = 512;
-  o.scheduler = &sched;
+  const SortKeyLess less{SortKeys{keys.data(), nullptr}, false};
   std::vector<std::vector<uint64_t>> runs;
   std::vector<MorselMetrics> mm;
-  const size_t nm = BuildSortRuns(SortKeys{keys.data(), nullptr}, n, o,
-                                  /*descending=*/false, &runs, &mm);
-  ASSERT_EQ(nm, (n + 511) / 512);
+  BuildSortRuns(less, n, /*limit=*/0, sched, /*morsel_rows=*/512, &runs, &mm);
+  const size_t nm = (n + 511) / 512;
   ASSERT_EQ(runs.size(), nm);
   ASSERT_EQ(mm.size(), nm);
-  const SortKeyLess less{SortKeys{keys.data(), nullptr}, false};
   uint64_t rows = 0, in_sum = 0;
   for (size_t i = 0; i < nm; ++i) {
     EXPECT_TRUE(std::is_sorted(runs[i].begin(), runs[i].end(), less)) << i;
@@ -248,17 +279,12 @@ TEST_P(BuildSortRunsTest, BoundedRunsKeepOnlyTheLimitSmallest) {
   MorselScheduler sched(GetParam());
   const uint64_t n = 3000, limit = 20;
   const std::vector<double> keys = TiedKeys(n, 9, 17);
-  ParallelSortOptions o;
-  o.morsel_rows = 256;
-  o.scheduler = &sched;
-  o.limit = limit;
+  const SortKeyLess less{SortKeys{keys.data(), nullptr}, false};
   std::vector<std::vector<uint64_t>> runs;
   std::vector<MorselMetrics> mm;
-  const size_t nm = BuildSortRuns(SortKeys{keys.data(), nullptr}, n, o,
-                                  /*descending=*/false, &runs, &mm);
-  ASSERT_GT(nm, 0u);
-  const SortKeyLess less{SortKeys{keys.data(), nullptr}, false};
-  for (size_t i = 0; i < nm; ++i) {
+  BuildSortRuns(less, n, limit, sched, /*morsel_rows=*/256, &runs, &mm);
+  ASSERT_EQ(runs.size(), (n + 255) / 256);
+  for (size_t i = 0; i < runs.size(); ++i) {
     ASSERT_LE(runs[i].size(), limit) << i;
     // Each run is the morsel's own stable-sort prefix.
     const uint64_t begin = i * 256;
@@ -269,21 +295,6 @@ TEST_P(BuildSortRunsTest, BoundedRunsKeepOnlyTheLimitSmallest) {
     full.resize(std::min<uint64_t>(limit, full.size()));
     EXPECT_EQ(runs[i], full) << i;
   }
-}
-
-TEST(BuildSortRunsGateTest, SingleMorselInputDeclines) {
-  MorselScheduler sched(2);
-  const std::vector<double> keys = TiedKeys(100, 1, 5);
-  ParallelSortOptions o;
-  o.morsel_rows = 1000;  // whole input in one morsel
-  o.scheduler = &sched;
-  std::vector<std::vector<uint64_t>> runs;
-  std::vector<MorselMetrics> mm;
-  EXPECT_EQ(BuildSortRuns(SortKeys{keys.data(), nullptr}, 100, o, false,
-                          &runs, &mm),
-            0u);
-  EXPECT_TRUE(runs.empty());
-  EXPECT_TRUE(mm.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, BuildSortRunsTest,
@@ -336,16 +347,14 @@ class ParallelSortEvalTest : public ::testing::Test {
     return er;
   }
 
-  // Runs `plan` through the scalar interpreter, the whole-column kernels,
-  // and the parallel sort tier at every (morsel size x worker count); all
-  // must agree, and sorted kValues / kGroupedAgg intermediates must agree
-  // *bit-identically* (vector equality, not just semantic tolerance).
+  // Runs `plan` whole-column and on the fleet at every (morsel size x
+  // worker count); every run must match the reference node by node, and
+  // sorted kValues / kGroupedAgg intermediates must agree with the
+  // whole-column run *bit-identically* (vector equality, not just semantic
+  // tolerance).
   void ExpectParallelMatches(const QueryPlan& plan) {
-    ExecOptions scalar;
-    scalar.use_kernels = false;
-    EvalResult ref = Run(plan, scalar);
     EvalResult base = Run(plan, ExecOptions{});
-    ASSERT_EQ(DiffIntermediates(ref.result, base.result), "");
+    ASSERT_EQ(ref::CheckAgainstReference(plan, base), "");
 
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
@@ -355,6 +364,8 @@ class ParallelSortEvalTest : public ::testing::Test {
         o.morsel_workers = workers;
         EvalResult got = Run(plan, o);
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
+            << "rows=" << rows << " workers=" << workers;
+        EXPECT_EQ(ref::CheckAgainstReference(plan, got), "")
             << "rows=" << rows << " workers=" << workers;
         ASSERT_EQ(base.intermediates.size(), got.intermediates.size());
         for (const auto& [id, inter] : base.intermediates) {
@@ -387,7 +398,7 @@ TEST_F(ParallelSortEvalTest, ValuesSortAscendingAndDescending) {
 
 TEST_F(ParallelSortEvalTest, TopNAcrossLimitBoundaries) {
   // The select passes ~15000 rows; cover limit in {1, n-1, n, > n} plus the
-  // degenerate limit-0 top-N (sorts everything, like the scalar path).
+  // degenerate limit-0 top-N (sorts everything).
   const uint64_t n = Run(ValuesSortPlan(false), ExecOptions{}).result.NumRows();
   ASSERT_GT(n, 2u);
   for (uint64_t limit : {uint64_t{1}, uint64_t{10}, n - 1, n, n + 1000}) {
@@ -473,10 +484,10 @@ TEST_F(ParallelSortEvalTest, SlicedLeafSortCoversOnlyTheSlice) {
   ASSERT_EQ(er.result.NumRows(), 14000u);
   const auto& f64 = vals_->f64();
   std::vector<double> window(f64.begin() + 3000, f64.begin() + 17000);
-  const auto ref = StableSortReference(window, false, 0);
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(er.result.head[i], static_cast<oid>(3000 + ref[i])) << i;
-    ASSERT_EQ(er.result.values.f64[i], window[ref[i]]) << i;
+  const auto want = ref::StableSortPerm(window, false, 0);
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(er.result.head[i], static_cast<oid>(3000 + want[i])) << i;
+    ASSERT_EQ(er.result.values.f64[i], window[want[i]]) << i;
   }
 }
 
@@ -501,9 +512,9 @@ TEST_F(ParallelSortEvalTest, SlicedRowIdSortClipsLikeTheJoinProbe) {
   ASSERT_EQ(er.result.NumRows(), cand.size());
   std::vector<double> keys(cand.size());
   for (size_t i = 0; i < cand.size(); ++i) keys[i] = vals_->f64()[cand[i]];
-  const auto ref = StableSortReference(keys, false, 0);
-  for (size_t i = 0; i < ref.size(); ++i) {
-    ASSERT_EQ(er.result.head[i], cand[ref[i]]) << i;
+  const auto want = ref::StableSortPerm(keys, false, 0);
+  for (size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(er.result.head[i], cand[want[i]]) << i;
   }
 }
 

@@ -17,6 +17,7 @@
 #include "obs/metrics.h"
 #include "obs/query_log.h"
 #include "obs/resource_tracker.h"
+#include "plan/builder.h"
 #include "sched/morsel_scheduler.h"
 #include "util/hash_clock.h"
 #include "workload/tpch.h"
@@ -232,6 +233,42 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
       obs::FinishQuery(id);
       EXPECT_FALSE(obs::SnapshotQueryResources(id, &qr));
     }
+  }
+}
+
+// Group-by ingest charges its table, inline or thread-local, and sort its
+// runs: with no fleet and on one, every durable charge is returned by the
+// end of Execute.
+TEST(ResourceTrackerTest, GroupByAndSortChargesReturnToZeroInlineAndOnAFleet) {
+  AccountingGuard guard;
+  obs::SetAccountingEnabled(true);
+  std::vector<int64_t> kv(20000);
+  for (size_t i = 0; i < kv.size(); ++i) {
+    kv[i] = static_cast<int64_t>((i * 7919) % 1000);
+  }
+  auto keys = Column::MakeInt64("k", std::move(kv));
+  PlanBuilder b("groupsort");
+  int g = b.GroupByLeaf(keys.get());
+  int a = b.AggGrouped(AggFn::kCount, g);
+  int s = b.Sort(a, /*descending=*/true);
+  const QueryPlan plan = b.Result(s);
+  for (bool fleet : {false, true}) {
+    ExecOptions o;
+    o.use_morsels = fleet;
+    o.morsel_rows = 512;
+    o.morsel_workers = 4;
+    Evaluator ev(o);
+    const uint64_t id = obs::NextQueryId();
+    EvalResult er;
+    {
+      obs::QueryIdScope qid(id);
+      ASSERT_TRUE(ev.Execute(plan, &er).ok()) << "fleet=" << fleet;
+    }
+    obs::QueryResources qr;
+    ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr)) << "fleet=" << fleet;
+    EXPECT_EQ(qr.cur_bytes, 0u) << "fleet=" << fleet << " (charge drift!)";
+    EXPECT_GT(qr.peak_bytes, 0u) << "fleet=" << fleet;
+    obs::FinishQuery(id);
   }
 }
 

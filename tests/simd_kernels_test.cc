@@ -17,6 +17,7 @@
 #include "exec/kernels.h"
 #include "exec/simd/simd_ops.h"
 #include "plan/builder.h"
+#include "reference_ops.h"
 #include "util/rng.h"
 
 namespace apq {
@@ -289,8 +290,9 @@ TEST(SimdDispatchTest, TierTablesMatchTheirLevel) {
 }
 
 // End-to-end: full query plans through the evaluator at every tier, every
-// morsel size, and 1/2/4/8 workers must equal the scalar row-at-a-time
-// interpreter on every intermediate (the acceptance invariant).
+// morsel size, and 1/2/4/8 workers must equal the scalar tier's whole-column
+// run on every intermediate (the acceptance invariant); that oracle is itself
+// checked once against the row-at-a-time reference (reference_ops.h).
 class SimdEvaluatorTest : public ::testing::Test {
  protected:
   static constexpr uint64_t kRows = 6000;
@@ -312,7 +314,7 @@ class SimdEvaluatorTest : public ::testing::Test {
     floats_ = Column::MakeFloat64("floats", std::move(fv));
     strs_ = Column::MakeString("strs", sv);
     ExecOptions scalar;
-    scalar.use_kernels = false;
+    scalar.simd_level = simd::SimdLevel::kScalar;
     scalar_.set_options(scalar);
   }
 
@@ -349,11 +351,13 @@ class SimdEvaluatorTest : public ::testing::Test {
 TEST_F(SimdEvaluatorTest, BitIdenticalAcrossTiersMorselsAndWorkers) {
   EvalResult want;
   ASSERT_TRUE(scalar_.Execute(Workload(), &want).ok());
+  size_t checked = 0;
+  ASSERT_EQ(ref::CheckAgainstReference(Workload(), want, &checked), "");
+  EXPECT_GT(checked, 0u);
   for (simd::SimdLevel tier : HostTiers()) {
     for (uint64_t morsel_rows : {uint64_t{256}, uint64_t{1024}}) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_kernels = true;
         o.use_morsels = true;
         o.morsel_rows = morsel_rows;
         o.morsel_workers = workers;
