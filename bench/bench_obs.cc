@@ -14,20 +14,19 @@
 //                              registered instruments (what a scrape costs)
 //   - BM_MetricsJsonRender     /metrics.json render at the same sizes
 //   - BM_HandleDebugQueries    /debug/queries render with a full query ring
-//   - BM_ChargeSiteDisabled    the one relaxed load + branch every disabled
-//                              resource-accounting site pays
-//   - BM_ChargeTransient       peak-visible transient charge with accounting
-//                              on, query + operator blocks installed (the
+//   - BM_ChargeTransient       peak-visible transient charge with a query
+//                              context and an operator block installed (the
 //                              kernel-output-growth hot path)
-//   - BM_BillTask              one scheduler task billed to its query and
-//                              operator (the task-epilogue hot path)
+//   - BM_BillTask              one scheduler task billed to its query
+//                              context and operator (the task-epilogue hot
+//                              path)
 //
 // The trajectory gate (tools/bench_trend.py vs BENCH_obs.json) watches
 // BM_SpanSiteDisabled and the render latencies: the disabled site must stay
 // in the ~1ns regime and a scrape must stay far below a morsel, or the
 // "observability never perturbs execution" story quietly rots. The
-// accounting rows extend the same contract to resource_tracker.h: disabled
-// ~1ns, enabled a handful of relaxed atomic adds.
+// accounting rows extend the same contract to resource_tracker.h: a
+// handful of relaxed atomic adds per charge or bill.
 //
 // Run: build/bench_obs [--benchmark_filter=...]
 #include <benchmark/benchmark.h>
@@ -173,43 +172,29 @@ void BM_HandleDebugQueries(benchmark::State& state) {
 }
 BENCHMARK(BM_HandleDebugQueries);
 
-void BM_ChargeSiteDisabled(benchmark::State& state) {
-  obs::SetAccountingEnabled(false);
-  for (auto _ : state) {
-    obs::ChargeTransient(4096);
-  }
-  obs::SetAccountingEnabled(true);
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ChargeSiteDisabled);
-
 void BM_ChargeTransient(benchmark::State& state) {
-  // The realistic shape: a query id and an operator block are installed, so
-  // the charge fans out to the query block, the operator block, and the
-  // process gauge — the kernel-output-growth path under a running query.
-  obs::SetAccountingEnabled(true);
-  const uint64_t qid = 0xBE7C0FFEE;
-  obs::QueryIdScope qid_scope(qid);
+  // The realistic shape: a query context and an operator block are
+  // installed, so the charge fans out to the query, the operator block, and
+  // the process gauge — the kernel-output-growth path under a running query.
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope query_scope(&query);
   obs::OpAcct acct;
   obs::OpAcctScope acct_scope(&acct);
   for (auto _ : state) {
     obs::ChargeTransient(4096);
   }
-  obs::FinishQuery(qid);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChargeTransient);
 
 void BM_BillTask(benchmark::State& state) {
   // The scheduler task epilogue: bill one finished morsel task's duration
-  // and queue-wait to its query and operator blocks.
-  obs::SetAccountingEnabled(true);
-  const uint64_t qid = 0xBE7C0FFEF;
+  // and queue-wait to its query context and operator block.
+  obs::QueryContext query{obs::NextQueryId()};
   obs::OpAcct acct;
   for (auto _ : state) {
-    obs::BillTask(qid, &acct, 25000.0, 400.0);
+    obs::BillTask(&query, &acct, 25000.0, 400.0);
   }
-  obs::FinishQuery(qid);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BillTask);

@@ -4,7 +4,7 @@
 #include <unordered_map>
 
 #include "obs/metrics.h"
-#include "obs/query_log.h"
+#include "obs/resource_tracker.h"
 #include "obs/trace.h"
 
 namespace apq {
@@ -33,6 +33,24 @@ constexpr uint64_t kMinAdaptiveMorselRows = 256;
 constexpr double kMinShrinkFactor = 2.0;
 constexpr double kMaxShrinkFactor = 8.0;
 
+/// A copy of `profile` without the raw morsel histograms: only the current
+/// run's histograms feed the mutator, and copying them for a kept profile
+/// would cost O(ops x morsels). Each histogram is swapped out around the
+/// copy.
+RunProfile WithoutMorsels(RunProfile& profile) {
+  RunProfile kept;
+  kept.makespan_ns = profile.makespan_ns;
+  kept.utilization = profile.utilization;
+  kept.ops.reserve(profile.ops.size());
+  for (auto& op : profile.ops) {
+    std::vector<MorselMetrics> saved;
+    saved.swap(op.morsels);
+    kept.ops.push_back(op);
+    op.morsels = std::move(saved);
+  }
+  return kept;
+}
+
 }  // namespace
 
 StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
@@ -55,10 +73,12 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
   QueryPlan plan = serial_plan.Clone();
   Intermediate serial_result;
   int run = 0;
-  // Tracks which executed run each plan corresponds to, so the GME plan can
-  // be recovered. plans[r] executed as run r.
-  std::vector<QueryPlan> plan_history;
-  std::vector<RunProfile> profile_history;
+  // The controller only ever moves the GME forward to the run it just
+  // observed, and the loop returns either that run or run 0, so only those
+  // two runs' plans and profiles are kept (run 0's plan is serial_plan).
+  RunProfile serial_profile;
+  QueryPlan gme_plan;
+  RunProfile gme_profile;
   // Last run's morsel-size hints, keyed by node id: the proportional skew
   // response below shrinks/grows relative to these rather than restarting
   // from the base size every run.
@@ -99,26 +119,12 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     const double time = sim.time_ns;
     RunProfile& profile = sim.profile;
 
-    plan_history.push_back(plan.Clone());
-    // History keeps the scalar per-op skew fields but not the raw morsel
-    // histograms: only the CURRENT run's histogram feeds the mutator, and
-    // retaining (or even transiently copying) every run's would cost
-    // O(ops x morsels) per run. Swap each histogram out around the copy.
-    profile_history.emplace_back();
-    {
-      RunProfile& hist = profile_history.back();
-      hist.makespan_ns = profile.makespan_ns;
-      hist.utilization = profile.utilization;
-      hist.ops.reserve(profile.ops.size());
-      for (auto& op : profile.ops) {
-        std::vector<MorselMetrics> saved;
-        saved.swap(op.morsels);
-        hist.ops.push_back(op);
-        op.morsels = std::move(saved);
-      }
-    }
-
     bool cont = conv.Observe(time);
+    if (run == 0) serial_profile = WithoutMorsels(profile);
+    if (run > 0 && conv.gme_run() == run) {
+      gme_plan = plan.Clone();
+      gme_profile = WithoutMorsels(profile);
+    }
 
     AdaptiveRun rec;
     rec.run = run;
@@ -240,8 +246,13 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     out.gme_run = 0;
     out.gme_time_ns = out.serial_time_ns;
   }
-  out.gme_plan = plan_history[out.gme_run].Clone();
-  out.gme_profile = profile_history[out.gme_run];
+  if (out.gme_run == 0) {
+    out.gme_plan = serial_plan.Clone();
+    out.gme_profile = std::move(serial_profile);
+  } else {
+    out.gme_plan = std::move(gme_plan);
+    out.gme_profile = std::move(gme_profile);
+  }
   out.serial_wall_ns = out.runs[0].wall_ns;
   out.gme_wall_ns = out.runs[out.gme_run].wall_ns;
   return out;

@@ -94,10 +94,10 @@ struct AdaptiveOutcome {
   /// ("basic-skew") across the whole adaptive process.
   int skew_mutations = 0;
   QueryPlan gme_plan;              // the plan the process converged on
-  /// Profile of the GME run. Historical profiles keep every scalar field
-  /// (including the per-op skew signals) but NOT the raw OpProfile::morsels
-  /// histograms — those are stripped per run to bound memory, so here
-  /// num_morsels > 0 with an empty morsels vector is expected.
+  /// Profile of the GME run. It keeps every scalar field (including the
+  /// per-op skew signals) but NOT the raw OpProfile::morsels histograms —
+  /// those are stripped to bound memory, so here num_morsels > 0 with an
+  /// empty morsels vector is expected.
   RunProfile gme_profile;
   Intermediate result;             // query result (identical across runs)
 

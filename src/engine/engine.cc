@@ -48,23 +48,21 @@ void RecordQuery(const QueryProfileDoc& doc, int runs, int mutations) {
   obs::QueryLog::Global().Push(std::move(rec));
 }
 
-// Folds query `qid`'s resource-accounting block into `doc` (peak bytes, CPU,
-// queue wait — zeros with accounting off) and retires the block. `workers` is
-// the parallel-efficiency denominator: the morsel-scheduler fleet size when
-// one exists, else 1 (whole-column execution runs on the calling thread).
-void SnapshotResources(uint64_t qid, const Evaluator& evaluator,
-                       QueryProfileDoc* doc) {
-  obs::QueryResources qr;
-  if (obs::SnapshotQueryResources(qid, &qr)) {
-    doc->peak_bytes = qr.peak_bytes;
-    doc->cpu_ns = static_cast<double>(qr.cpu_ns);
-    doc->queue_wait_ns = static_cast<double>(qr.queue_wait_ns);
-  }
+// Folds the query context's accounting into `doc` (peak bytes, CPU, queue
+// wait). `workers` is the parallel-efficiency denominator: the
+// morsel-scheduler fleet size when one exists, else 1 (whole-column
+// execution runs on the calling thread).
+void SnapshotResources(const obs::QueryContext& query,
+                       const Evaluator& evaluator, QueryProfileDoc* doc) {
+  const obs::OpAcct& a = query.acct;
+  doc->peak_bytes = a.peak_bytes.load(std::memory_order_relaxed);
+  doc->cpu_ns = static_cast<double>(a.cpu_ns.load(std::memory_order_relaxed));
+  doc->queue_wait_ns =
+      static_cast<double>(a.queue_wait_ns.load(std::memory_order_relaxed));
   const auto& sched = evaluator.morsel_scheduler();
   doc->workers = (sched != nullptr && sched->num_workers() > 0)
                      ? sched->num_workers()
                      : 1;
-  obs::FinishQuery(qid);
 }
 
 }  // namespace
@@ -89,8 +87,9 @@ StatusOr<QueryRunResult> Engine::RunPlanInner(
 StatusOr<QueryRunResult> Engine::RunPlan(const QueryPlan& plan,
                                          const std::vector<SimTask>& background,
                                          uint64_t seed_salt) {
-  const uint64_t qid = obs::NextQueryId();
-  obs::QueryIdScope qid_scope(qid);
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope query_scope(&query);
+  const uint64_t qid = query.id;
   obs::SpanScope query_span(obs::SpanKind::kQuery, "query",
                             static_cast<int64_t>(qid));
   const double q0 = NowNs();
@@ -113,7 +112,7 @@ StatusOr<QueryRunResult> Engine::RunPlan(const QueryPlan& plan,
     doc.status = "error";
     doc.error = out.status().ToString();
   }
-  SnapshotResources(qid, evaluator_, &doc);
+  SnapshotResources(query, evaluator_, &doc);
   RecordQuery(doc, /*runs=*/1, /*mutations=*/0);
   return out;
 }
@@ -136,8 +135,9 @@ StatusOr<QueryRunResult> Engine::RunHeuristic(
 
 StatusOr<AdaptiveOutcome> Engine::RunAdaptive(
     const QueryPlan& serial_plan, const std::vector<SimTask>& background) {
-  const uint64_t qid = obs::NextQueryId();
-  obs::QueryIdScope qid_scope(qid);
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope query_scope(&query);
+  const uint64_t qid = query.id;
   obs::SpanScope query_span(obs::SpanKind::kQuery, "adaptive-query",
                             static_cast<int64_t>(qid));
   const double q0 = NowNs();
@@ -173,7 +173,7 @@ StatusOr<AdaptiveOutcome> Engine::RunAdaptive(
     doc.status = "error";
     doc.error = out.status().ToString();
   }
-  SnapshotResources(qid, evaluator_, &doc);
+  SnapshotResources(query, evaluator_, &doc);
   RecordQuery(doc, runs, mutations);
   return out;
 }

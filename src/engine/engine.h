@@ -34,10 +34,9 @@ struct EngineConfig {
   /// switched by APQ_TRACE / APQ_HTTP or their obs/ calls, not per engine.
   bool use_morsels = false;
   uint64_t morsel_rows = kDefaultMorselRows;
-  int morsel_workers = 0;  // 0 = one per hardware thread
   /// Thread fleet to share with other engines/queries. When null and
-  /// use_morsels is set, the engine creates its own; pass
-  /// MorselScheduler::Shared() (or another engine's morsel_scheduler()) so
+  /// use_morsels is set, the engine creates its own, one worker per hardware
+  /// thread; pass another engine's morsel_scheduler() (or any scheduler) so
   /// concurrent queries multiplex one worker fleet instead of one pool each.
   /// Injecting a scheduler implies use_morsels — a shared fleet that no
   /// query ever dispatches to would be a silent misconfiguration.
@@ -142,7 +141,6 @@ class Engine {
     ExecOptions o;
     o.use_morsels = c.use_morsels;
     o.morsel_rows = c.morsel_rows;
-    o.morsel_workers = c.morsel_workers;
     return o;
   }
 

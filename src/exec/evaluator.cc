@@ -9,7 +9,6 @@
 #include "exec/agg/parallel_agg.h"
 #include "exec/kernels.h"
 #include "exec/sort/sort_runs.h"
-#include "obs/query_log.h"
 #include "obs/resource_tracker.h"
 #include "util/env.h"
 #include "util/hash_clock.h"
@@ -418,7 +417,7 @@ Status Evaluator::ExecNode(const QueryPlan& plan, const PlanNode& node,
   // this frame; ParallelFor drains every task before returning, so no
   // billing outlives it.
   obs::OpAcct acct;
-  obs::OpAcctScope acct_scope(obs::AccountingEnabled() ? &acct : nullptr);
+  obs::OpAcctScope acct_scope(&acct);
   const double t0 = NowNs();
   Status st = ExecNodeInner(plan, node, ctx, result, m);
   const double node_wall = NowNs() - t0;
@@ -427,20 +426,17 @@ Status Evaluator::ExecNode(const QueryPlan& plan, const PlanNode& node,
     // sweep uncharges every slot after the run.
     obs::ChargeBytes(result->ByteSize());
   }
-  if (obs::AccountingEnabled()) {
-    m->peak_bytes = acct.peak_bytes.load(std::memory_order_relaxed);
-    m->queue_wait_ns = acct.queue_wait_ns.load(std::memory_order_relaxed);
-    const uint64_t task_cpu = acct.cpu_ns.load(std::memory_order_relaxed);
-    if (acct.tasks.load(std::memory_order_relaxed) > 0) {
-      // Morselized: summed task time, billed to the query by the scheduler.
-      m->cpu_ns = task_cpu;
-    } else {
-      // Whole-column: never went through the scheduler, so the node wall IS
-      // the cpu — record it and bill the owning query directly.
-      m->cpu_ns = static_cast<uint64_t>(node_wall > 0 ? node_wall : 0);
-      obs::BillTask(obs::CurrentQueryId(), nullptr,
-                    static_cast<double>(m->cpu_ns), 0);
-    }
+  m->peak_bytes = acct.peak_bytes.load(std::memory_order_relaxed);
+  m->queue_wait_ns = acct.queue_wait_ns.load(std::memory_order_relaxed);
+  if (acct.tasks.load(std::memory_order_relaxed) > 0) {
+    // Morselized: summed task time, billed to the query by the scheduler.
+    m->cpu_ns = acct.cpu_ns.load(std::memory_order_relaxed);
+  } else {
+    // Whole-column: never went through the scheduler, so the node wall IS
+    // the cpu — record it and bill the owning query directly.
+    m->cpu_ns = static_cast<uint64_t>(node_wall > 0 ? node_wall : 0);
+    obs::BillTask(obs::CurrentQuery(), nullptr,
+                  static_cast<double>(m->cpu_ns), 0);
   }
   span.set_args(node.id, static_cast<int64_t>(m->tuples_in),
                 static_cast<int64_t>(m->tuples_out));
@@ -739,6 +735,8 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     m->tuples_in = in->values.size();
     keys = in->values.i64.data();
     if (in->values.is_f64()) {
+      // The truncated keys are int64, and so is the vector that holds them.
+      result->group_keys.type = DataType::kInt64;
       truncated.resize(m->tuples_in);
       for (uint64_t i = 0; i < m->tuples_in; ++i) {
         truncated[i] = in->values.AsInt(i);

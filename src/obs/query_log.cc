@@ -9,7 +9,6 @@ namespace obs {
 namespace {
 
 std::atomic<uint64_t> g_next_query_id{1};
-thread_local uint64_t t_current_query_id = 0;
 
 // Minimal JSON string escaping for status/error texts (profile documents
 // arrive pre-serialized and are embedded verbatim).
@@ -45,14 +44,6 @@ void AppendSummary(std::ostringstream& os, const QueryRecord& r) {
 uint64_t NextQueryId() {
   return g_next_query_id.fetch_add(1, std::memory_order_relaxed);
 }
-
-uint64_t CurrentQueryId() { return t_current_query_id; }
-
-QueryIdScope::QueryIdScope(uint64_t id) : prev_(t_current_query_id) {
-  t_current_query_id = id;
-}
-
-QueryIdScope::~QueryIdScope() { t_current_query_id = prev_; }
 
 QueryLog& QueryLog::Global() {
   static QueryLog* g = new QueryLog();  // leaked: atexit dumps still read it

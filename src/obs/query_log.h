@@ -1,11 +1,12 @@
 // Recent-query introspection ring + process-wide query-id allocation.
 //
 // Every Engine query (RunPlan / RunAdaptive) draws one monotonically
-// increasing id from NextQueryId(); the id is threaded — via the
-// thread-local QueryIdScope — into the trace spans (query / adaptive-run /
-// execute span args), the adaptive lineage, and the per-query profile JSON,
-// so a single id correlates every observability surface: grep the Chrome
-// trace for a0 == id, curl /debug/profile/<id>, and read the same query.
+// increasing id from NextQueryId(); the id is threaded — as the id of the
+// query context the engine installs (obs/resource_tracker.h QueryScope) —
+// into the trace spans (query / adaptive-run / execute span args), the
+// adaptive lineage, and the per-query profile JSON, so a single id
+// correlates every observability surface: grep the Chrome trace for
+// a0 == id, curl /debug/profile/<id>, and read the same query.
 //
 // Completed (or failed) queries push a QueryRecord — summary scalars plus
 // the pre-serialized profile JSON document — into the fixed-capacity global
@@ -33,25 +34,6 @@ namespace obs {
 /// Draws the next process-wide query id (1, 2, 3, ...). Ids are never
 /// reused; 0 means "no query".
 uint64_t NextQueryId();
-
-/// The query id of the query currently executing on this thread (0 when no
-/// QueryIdScope is active). Span sites read this to tag events.
-uint64_t CurrentQueryId();
-
-/// \brief RAII: installs `id` as this thread's current query id for the
-/// scope's lifetime, restoring the previous value on exit (nesting-safe —
-/// an engine invoked from inside another engine's callback keeps both ids
-/// straight).
-class QueryIdScope {
- public:
-  explicit QueryIdScope(uint64_t id);
-  ~QueryIdScope();
-  QueryIdScope(const QueryIdScope&) = delete;
-  QueryIdScope& operator=(const QueryIdScope&) = delete;
-
- private:
-  uint64_t prev_;
-};
 
 /// \brief One finished query, as the introspection surface remembers it.
 struct QueryRecord {

@@ -5,11 +5,12 @@
 //
 //   1. MEMORY. Allocation sites (kernel output growth, agg-table slabs,
 //      sort runs, hash builds, intermediate columns) charge bytes against
-//      the query currently installed on the thread (obs/query_log.h
-//      QueryIdScope — the morsel scheduler re-installs it inside worker
-//      tasks). Each query tracks current and peak charged bytes; the
-//      process tracks an aggregate current gauge (apq_mem_current_bytes)
-//      and an all-time high watermark (apq_mem_peak_bytes).
+//      the query context installed on the thread (QueryScope: the engine
+//      installs the context it owns, and the morsel scheduler re-installs
+//      it inside worker tasks). Each query tracks current and peak charged
+//      bytes; the process tracks an aggregate current gauge
+//      (apq_mem_current_bytes) and an all-time high watermark
+//      (apq_mem_peak_bytes).
 //   2. CPU. The scheduler bills every finished morsel task's duration and
 //      queue-wait to the owning query (BillTask); whole-column operators
 //      bill their node wall time from the evaluator. Per query that yields
@@ -21,18 +22,19 @@
 //      EXPLAIN-ANALYZE document carries peak_bytes / cpu_ns /
 //      queue_wait_ns per operator.
 //
-// Cost contract (mirrors obs/trace.h):
-//   - Accounting disabled: every site is ONE relaxed atomic load + branch.
-//   - Accounting enabled (the default): a handful of relaxed atomic adds
-//     per *operator or morsel task* — never per row.
-//   - Accounting NEVER perturbs results: differential tests assert
-//     bit-identical TPC-H output with accounting on vs off at every worker
-//     count.
+// Cost contract: a handful of relaxed atomic adds per *operator or morsel
+// task*, never per row, and accounting NEVER perturbs results: differential
+// tests assert bit-identical TPC-H output with and without a query context
+// installed at every worker count.
+//
+// Lifetime: a QueryContext lives on its engine entry point's frame, and a
+// scheduler task bills before it signals its ParallelFor done, so no charge
+// or bill reaches a context after the query returns.
 //
 // Charge discipline (the zero-drift invariant, asserted by
 // tests/resource_tracker_test.cc): every durable ChargeBytes is matched by
-// exactly one UnchargeBytes before the engine retires the query, so a
-// query's current bytes return to 0 at query end. Short-lived buffers use
+// exactly one UnchargeBytes before the query ends, so a query's current
+// bytes return to 0 at query end. Short-lived buffers use
 // ChargeTransient (peak-visible, net zero). Cross-query state (the hash
 // index cache) is charged transiently during the build and then parked in
 // its own steady-state gauge (apq_hash_cache_bytes) instead of leaking
@@ -41,34 +43,56 @@
 #define APQ_OBS_RESOURCE_TRACKER_H_
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 
 namespace apq {
 namespace obs {
 
-/// The one branch every disabled accounting site pays.
-inline bool AccountingEnabled();
-
-/// Turns accounting on/off process-wide (tests and the APQ_ACCOUNTING env
-/// override; on by default).
-void SetAccountingEnabled(bool on);
-
-/// Reads APQ_ACCOUNTING once through util/env.h: "0" or "1" sets the
-/// switch; unset leaves it alone; anything else warns once and leaves it
-/// alone. Called from obs::InitFromEnv.
-void InitAccountingFromEnv();
-
-/// \brief Per-operator accounting block. Owned by the evaluator (one per
-/// plan-node execution), installed thread-locally by OpAcctScope and
-/// propagated into scheduler tasks, so morsel-task charges and bills from
-/// any worker land on the operator that spawned them.
+/// \brief An accounting block: one per plan-node execution, owned by the
+/// evaluator, installed thread-locally by OpAcctScope and propagated into
+/// scheduler tasks, so morsel-task charges and bills from any worker land
+/// on the operator that spawned them; and one per query, in its
+/// QueryContext.
 struct OpAcct {
   std::atomic<uint64_t> cur_bytes{0};
   std::atomic<uint64_t> peak_bytes{0};
   std::atomic<uint64_t> cpu_ns{0};
   std::atomic<uint64_t> queue_wait_ns{0};
   std::atomic<uint64_t> tasks{0};
+};
+
+/// \brief One query's accounting context: its process-wide id
+/// (obs/query_log.h NextQueryId) and the query-wide sums of the same
+/// counters an operator block keeps. Engine::RunPlan and Engine::RunAdaptive
+/// own one on their frames for the whole query.
+struct QueryContext {
+  explicit QueryContext(uint64_t query_id) : id(query_id) {}
+
+  const uint64_t id;
+  OpAcct acct;
+};
+
+/// The query context installed on this thread (nullptr outside any
+/// QueryScope / scheduler task).
+QueryContext* CurrentQuery();
+
+/// The installed query's id (0 when no query is installed). Span sites read
+/// this to tag events.
+uint64_t CurrentQueryId();
+
+/// \brief RAII: installs `query` as this thread's query context, restoring
+/// the previous one on exit (nesting-safe: an engine invoked from inside
+/// another engine's callback keeps both queries straight). The scheduler
+/// installs the submitting thread's context around each task it runs.
+class QueryScope {
+ public:
+  explicit QueryScope(QueryContext* query);
+  ~QueryScope();
+  QueryScope(const QueryScope&) = delete;
+  QueryScope& operator=(const QueryScope&) = delete;
+
+ private:
+  QueryContext* prev_;
 };
 
 /// The operator block installed on this thread (nullptr outside any
@@ -88,10 +112,6 @@ class OpAcctScope {
  private:
   OpAcct* prev_;
 };
-
-/// Installs `acct` directly (the scheduler's task prologue; pairs with a
-/// second call to restore). Returns the previously installed block.
-OpAcct* ExchangeOpAcct(OpAcct* acct);
 
 /// Bills `n` bytes to the current query (and current operator block).
 /// Durable: the caller owes a matching UnchargeBytes before query end.
@@ -142,41 +162,12 @@ class ScopedMemCharge {
 /// is tracked process-wide instead of being charged to the builder.
 void AddHashCacheBytes(int64_t delta);
 
-/// Bills one finished scheduler task to query `query_id` (0 = unowned,
-/// dropped) and to `acct` (nullable): `cpu_ns` of execution and
-/// `queue_wait_ns` spent between submit and claim.
-void BillTask(uint64_t query_id, OpAcct* acct, double cpu_ns,
+/// Bills one finished scheduler task to `query` and to `acct` (each
+/// nullable; a null one is skipped): `cpu_ns` of execution and
+/// `queue_wait_ns` spent between submit and claim. Negative readings (clock
+/// skew) clamp to zero.
+void BillTask(QueryContext* query, OpAcct* acct, double cpu_ns,
               double queue_wait_ns);
-
-/// \brief One query's accounting snapshot.
-struct QueryResources {
-  uint64_t cur_bytes = 0;   // still-charged bytes (0 at query end, or drift)
-  uint64_t peak_bytes = 0;  // high watermark of charged bytes
-  uint64_t cpu_ns = 0;      // summed task/operator execution time
-  uint64_t queue_wait_ns = 0;  // summed task queue-wait
-  uint64_t tasks = 0;          // scheduler tasks billed
-};
-
-/// Copies query `id`'s live accounting block into `*out`; false when the
-/// query never charged anything (or accounting is off).
-bool SnapshotQueryResources(uint64_t id, QueryResources* out);
-
-/// Retires query `id`: folds its peak into the process high watermark and
-/// drops the block. The engine calls this after recording the query.
-void FinishQuery(uint64_t id);
-
-/// Number of queries with live (un-retired) accounting blocks (tests).
-size_t LiveQueryResourceCount();
-
-// ---- implementation details (header-inline for the hot-path branch) ----
-
-namespace internal {
-extern std::atomic<bool> g_accounting_enabled;
-}  // namespace internal
-
-inline bool AccountingEnabled() {
-  return internal::g_accounting_enabled.load(std::memory_order_relaxed);
-}
 
 }  // namespace obs
 }  // namespace apq

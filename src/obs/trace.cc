@@ -16,7 +16,6 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
-#include "obs/resource_tracker.h"
 #include "util/env.h"
 
 namespace apq {
@@ -299,7 +298,6 @@ void InitFromEnv() {
     if (!p.trace.empty() || !p.metrics.empty() || !p.profile.empty()) {
       std::atexit(ExportAtExit);
     }
-    InitAccountingFromEnv();
     InitHttpFromEnv();
     return true;
   }();

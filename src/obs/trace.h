@@ -138,14 +138,13 @@ Status WriteChromeTrace(const std::string& path);
 /// adaptive experiments to keep exports scoped to one run).
 void ClearTraceBuffers();
 
-/// Reads APQ_TRACE / APQ_METRICS / APQ_PROFILE / APQ_HTTP / APQ_ACCOUNTING
-/// once through util/env.h (an unwritable path or invalid value warns and
-/// keeps the default): a valid APQ_TRACE enables collection, and an atexit
-/// exporter flushes the trace, the metrics snapshot (APQ_METRICS; a ".json"
-/// suffix selects JSON, anything else Prometheus text), and the
-/// recent-query profile dump (APQ_PROFILE, obs/query_log.h) when the
-/// process ends, so benches and examples get observability without Engine
-/// plumbing. A valid APQ_HTTP starts the live introspection endpoint
+/// Reads APQ_TRACE / APQ_METRICS / APQ_PROFILE / APQ_HTTP once through
+/// util/env.h (an unwritable path or invalid value warns and keeps the
+/// default): a valid APQ_TRACE enables collection, and an atexit exporter
+/// flushes the trace, the metrics snapshot (APQ_METRICS; a ".json" suffix
+/// selects JSON, anything else Prometheus text), and the recent-query
+/// profile dump (APQ_PROFILE, obs/query_log.h) when the process ends, so
+/// benches and examples get observability without Engine plumbing. A valid APQ_HTTP starts the live introspection endpoint
 /// (obs/http_exporter.h). Idempotent and cheap after the first call; the
 /// evaluator calls this from set_options.
 void InitFromEnv();

@@ -76,9 +76,10 @@ struct QueryProfileDoc {
   double wall_ns = 0;
   double time_ns = 0;
   uint64_t rows = 0;
-  /// Resource accounting totals (obs/resource_tracker.h; 0 with accounting
-  /// off). `workers` is the morsel-scheduler worker count the query ran
-  /// with (0 unknown), the denominator of parallel_efficiency.
+  /// Resource accounting totals of the query's context
+  /// (obs/resource_tracker.h). `workers` is the morsel-scheduler worker
+  /// count the query ran with (0 unknown), the denominator of
+  /// parallel_efficiency.
   uint64_t peak_bytes = 0;
   double cpu_ns = 0;
   double queue_wait_ns = 0;

@@ -25,9 +25,11 @@ struct OpProfile {
   int core = -1;
   uint64_t tuples_in = 0;
   uint64_t tuples_out = 0;
-  /// Resource accounting (obs/resource_tracker.h; 0 with accounting off):
-  /// peak bytes charged while the operator ran, its summed task execution
-  /// time (node wall when whole-column), and summed scheduler queue-wait.
+  /// Resource accounting (obs/resource_tracker.h): peak bytes charged while
+  /// the operator ran, its summed task execution time (node wall when
+  /// whole-column), and summed scheduler queue-wait. Tasks bill only under
+  /// a query context, so outside an engine query cpu_ns is the node wall
+  /// and queue_wait_ns is 0.
   uint64_t peak_bytes = 0;
   uint64_t cpu_ns = 0;
   uint64_t queue_wait_ns = 0;

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "obs/http_exporter.h"
-#include "obs/query_log.h"
 #include "obs/resource_tracker.h"
 #include "obs/trace.h"
 #include "util/hash_clock.h"
@@ -23,15 +22,16 @@ thread_local double t_nested_ns = 0;
 
 // One ParallelFor invocation: the function to run plus completion tracking.
 // Lives on the caller's stack; tasks referencing it are guaranteed drained
-// before ParallelFor returns. Carries the submitting thread's query id and
-// operator accounting block so tasks executed on workers bill the same
-// query/operator the caller would have (obs/resource_tracker.h).
+// before ParallelFor returns. Carries the submitting thread's query context
+// and operator accounting block so tasks executed on workers charge and bill
+// the same query/operator the caller would have (obs/resource_tracker.h);
+// both outlive the job, since the caller's frames own them.
 struct MorselScheduler::Job {
   const std::function<void(size_t, int)>* fn = nullptr;
   std::atomic<size_t> remaining{0};
   std::mutex mu;
   std::condition_variable done_cv;
-  uint64_t query_id = 0;
+  obs::QueryContext* query = nullptr;
   obs::OpAcct* op_acct = nullptr;
   double submit_ns = 0;
   bool bill = true;
@@ -92,16 +92,15 @@ double MorselScheduler::RunTask(const Task& t, int worker) {
     // Reproduce the submitting thread's accounting context: charges and
     // trace events made inside the task land on the owning query/operator
     // even from a stolen execution on a foreign worker.
-    obs::QueryIdScope qid_scope(job->query_id);
+    obs::QueryScope query_scope(job->query);
     obs::OpAcctScope acct_scope(job->op_acct);
     (*job->fn)(t.index, worker);
   }
   const double t1 = NowNs();
   const double nested = t_nested_ns;
   t_nested_ns = outer_nested;
-  if (job->bill && obs::AccountingEnabled() && job->query_id != 0) {
-    obs::BillTask(job->query_id, job->op_acct, t1 - t0,
-                  t0 - job->submit_ns);
+  if (job->bill && job->query != nullptr) {
+    obs::BillTask(job->query, job->op_acct, t1 - t0, t0 - job->submit_ns);
   }
   // Decrement *under the job lock*: the ParallelFor waiter re-checks
   // `remaining` under this same lock and destroys the stack-allocated Job the
@@ -208,7 +207,7 @@ void MorselScheduler::ParallelFor(size_t num_tasks,
   job.fn = &fn;
   job.bill = bill;
   job.remaining.store(num_tasks);
-  job.query_id = obs::CurrentQueryId();
+  job.query = obs::CurrentQuery();
   job.op_acct = obs::CurrentOpAcct();
   job.submit_ns = call_t0;
 
@@ -331,12 +330,6 @@ std::string MorselScheduler::DebugJson() const {
 
 std::string MorselScheduler::WorkersJson() {
   return obs::PublishedJson("/debug/workers");
-}
-
-const std::shared_ptr<MorselScheduler>& MorselScheduler::Shared() {
-  static const std::shared_ptr<MorselScheduler> shared =
-      std::make_shared<MorselScheduler>(0);
-  return shared;
 }
 
 }  // namespace apq

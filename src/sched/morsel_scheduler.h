@@ -95,11 +95,12 @@ class MorselScheduler {
   /// ran the task itself. Task order is unspecified; callers must make
   /// results order-independent (index into a fragment array).
   ///
-  /// Each task's duration and queue wait are billed to the submitting
-  /// thread's query and operator block (obs/resource_tracker.h) unless
-  /// `bill` is false: tasks that only host billed work (a plan-node task,
-  /// whose operator bills its own time and morsels) must not be billed
-  /// again, or a query's cpu_ns would exceed the sum of its operators'.
+  /// When the submitting thread has a query context installed, each task's
+  /// duration and queue wait are billed to that query and to the thread's
+  /// operator block (obs/resource_tracker.h) unless `bill` is false: tasks
+  /// that only host billed work (a plan-node task, whose operator bills its
+  /// own time and morsels) must not be billed again, or a query's cpu_ns
+  /// would exceed the sum of its operators'.
   void ParallelFor(size_t num_tasks,
                    const std::function<void(size_t, int)>& fn,
                    bool bill = true);
@@ -132,10 +133,6 @@ class MorselScheduler {
   /// (obs::Publish) for its lifetime.
   static std::string WorkersJson();
 
-  /// A process-wide scheduler (hardware-sized) for callers that want the
-  /// default shared fleet without wiring one through explicitly.
-  static const std::shared_ptr<MorselScheduler>& Shared();
-
  private:
   struct Job;
   struct Task {
@@ -158,10 +155,10 @@ class MorselScheduler {
   /// came from — the steal trace event's a1.
   bool StealAny(int w, Task* out, int* victim = nullptr);
   bool PopForJob(Job* job, Task* out);
-  /// Runs the task (with the owning query's id + operator block installed),
-  /// bills its duration/queue-wait, and returns the execution time in ns,
-  /// less the time spent in the task's own nested ParallelFor calls, so the
-  /// claiming side accumulates every task's work exactly once.
+  /// Runs the task (with the owning query's context + operator block
+  /// installed), bills its duration/queue-wait, and returns the execution
+  /// time in ns, less the time spent in the task's own nested ParallelFor
+  /// calls, so the claiming side accumulates every task's work exactly once.
   static double RunTask(const Task& t, int worker);
   void MaybeSampleFlight();
 

@@ -7,6 +7,7 @@
 
 #include "engine/engine.h"
 #include "exec/compare.h"
+#include "sched/morsel_scheduler.h"
 #include "vwsim/vectorwise_sim.h"
 #include "workload/skew.h"
 #include "workload/tpcds.h"
@@ -225,9 +226,8 @@ TEST(SkewFeedbackTest, RepartitioningHalvesConvergedSkewWithIdenticalResults) {
 
   auto run = [&](double skew_threshold, int workers) {
     EngineConfig ecfg = EngineConfig::WithSim(SimConfig::Cores(4, 4));
-    ecfg.use_morsels = true;
     ecfg.morsel_rows = 2048;
-    ecfg.morsel_workers = workers;
+    ecfg.morsel_scheduler = std::make_shared<MorselScheduler>(workers);
     ecfg.verify_results = true;  // every run checked against the serial plan
     ecfg.mutator.skew_threshold = skew_threshold;
     Engine engine(ecfg);

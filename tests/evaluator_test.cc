@@ -3,6 +3,7 @@
 
 #include "exec/evaluator.h"
 #include "plan/builder.h"
+#include "reference_ops.h"
 
 namespace apq {
 namespace {
@@ -424,6 +425,55 @@ TEST_F(EvaluatorTest, JoinWithFloatInnerColumnIsInvalid) {
   QueryPlan plan = b.Result(j);
   EvalResult er;
   EXPECT_EQ(eval_.Execute(plan, &er).code(), StatusCode::kInvalidArgument);
+}
+
+// A group-by over float64 values groups by their AsInt truncation, so its
+// keys are int64 and typed so, and the grouped count has one slot per key.
+// Checked whole-column and on a fleet that splits the input, against the
+// expected groups and the reference group-by.
+void ExpectTruncatedGroups(const QueryPlan& plan,
+                           const std::vector<int64_t>& keys,
+                           const std::vector<double>& counts) {
+  for (bool fleet : {false, true}) {
+    ExecOptions o;
+    o.use_morsels = fleet;
+    o.morsel_rows = 2;
+    o.morsel_workers = 2;
+    Evaluator eval(o);
+    EvalResult er;
+    ASSERT_TRUE(eval.Execute(plan, &er).ok()) << "fleet=" << fleet;
+    const Intermediate& r = er.result;
+    ASSERT_EQ(r.kind, Intermediate::Kind::kGroupedAgg) << "fleet=" << fleet;
+    EXPECT_EQ(r.group_keys.type, DataType::kInt64) << "fleet=" << fleet;
+    EXPECT_EQ(r.group_keys.i64, keys) << "fleet=" << fleet;
+    EXPECT_EQ(r.agg_vals, counts) << "fleet=" << fleet;
+    size_t checked = 0;
+    EXPECT_EQ(ref::CheckAgainstReference(plan, er, &checked), "")
+        << "fleet=" << fleet;
+    EXPECT_EQ(checked, 3u) << "fleet=" << fleet;  // select, fetch, group-by
+  }
+}
+
+TEST_F(EvaluatorTest, GroupByOverFetchedFloatsGroupsTruncatedKeys) {
+  auto prices = Column::MakeFloat64(
+      "prices", {1.25, 2.75, 1.5, 3.0, 2.0, 1.9, 3.99, 2.5, 1.0, 3.5});
+  PlanBuilder b("t");
+  int sel = b.Select(ints_.get(), Predicate::RangeI64(0, 9));
+  int vals = b.FetchJoin(prices.get(), sel);
+  int gb = b.GroupBy(vals);
+  int ag = b.AggGrouped(AggFn::kCount, gb);
+  ExpectTruncatedGroups(b.Result(ag), {1, 2, 3}, {4, 3, 3});
+}
+
+TEST_F(EvaluatorTest, GroupByOverScaledIntsGroupsTruncatedKeys) {
+  // ints * 0.5 = 2.5 0.5 3.5 1.5 4.5 1 4 2 3 0, truncated 2 0 3 1 4 1 4 2 3 0.
+  PlanBuilder b("t");
+  int sel = b.Select(ints_.get(), Predicate::RangeI64(0, 9));
+  int vals = b.FetchJoin(ints_.get(), sel);
+  int half = b.MapConst(MapFn::kMul, vals, 0.5);
+  int gb = b.GroupBy(half);
+  int ag = b.AggGrouped(AggFn::kCount, gb);
+  ExpectTruncatedGroups(b.Result(ag), {2, 0, 3, 1, 4}, {2, 2, 2, 2, 2});
 }
 
 }  // namespace

@@ -24,8 +24,10 @@
 #include "obs/http_exporter.h"
 #include "obs/metrics.h"
 #include "obs/query_log.h"
+#include "obs/resource_tracker.h"
 #include "plan/builder.h"
 #include "profile/profile_json.h"
+#include "sched/morsel_scheduler.h"
 #include "workload/tpch.h"
 
 namespace apq {
@@ -42,11 +44,12 @@ TEST(QueryIdTest, IdsAreMonotonicAndNeverZero) {
 
 TEST(QueryIdTest, ScopeInstallsAndRestoresNested) {
   EXPECT_EQ(obs::CurrentQueryId(), 0u);
+  obs::QueryContext outer_query{7}, inner_query{9};
   {
-    obs::QueryIdScope outer(7);
+    obs::QueryScope outer(&outer_query);
     EXPECT_EQ(obs::CurrentQueryId(), 7u);
     {
-      obs::QueryIdScope inner(9);
+      obs::QueryScope inner(&inner_query);
       EXPECT_EQ(obs::CurrentQueryId(), 9u);
     }
     EXPECT_EQ(obs::CurrentQueryId(), 7u);
@@ -609,9 +612,8 @@ TEST_F(IntrospectEngineTest, ResultsBitIdenticalWithExporterOnVsOff) {
 
   for (int workers : {1, 2, 4, 8}) {
     EngineConfig cfg = SmallConfig();
-    cfg.use_morsels = true;
     cfg.morsel_rows = 512;
-    cfg.morsel_workers = workers;
+    cfg.morsel_scheduler = std::make_shared<MorselScheduler>(workers);
 
     Engine off_engine(cfg);
     auto off = off_engine.RunSerial(q6.ValueOrDie());

@@ -163,7 +163,9 @@ inline Status GroupBy(const PlanNode& node, const Intermediate* in,
     if (in->kind != Intermediate::Kind::kValues) {
       return Status::InvalidArgument("groupby input must be values");
     }
-    r->out.group_keys.type = in->values.type;
+    // Float64 values group by their AsInt truncation, held as int64 keys.
+    r->out.group_keys.type =
+        in->values.is_f64() ? DataType::kInt64 : in->values.type;
     r->out.group_keys.dict = in->values.dict;
     r->out.origin = in->origin;
     r->out.head = in->head;

@@ -1,12 +1,15 @@
 // Per-query resource accounting (obs/resource_tracker.h): charge/uncharge
-// units and the zero-drift discipline, operator-block scoping, task billing,
-// the engine-level lifecycle (snapshot into the profile document, retire),
-// scheduler worker-health telemetry, the APQ_QUERY_LOG parser, and the
-// determinism contract — accounting on vs off must be bit-identical over
-// the TPC-H suite at every worker count.
+// units and the zero-drift discipline, query-context and operator-block
+// scoping, task billing (only under a query context), the engine-level
+// lifecycle (snapshot into the profile document, every charge returned),
+// scheduler worker-health telemetry, and the determinism contract — runs
+// with and without a query context installed must be bit-identical over the
+// TPC-H suite at every worker count.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -25,76 +28,64 @@
 namespace apq {
 namespace {
 
-// Restores the accounting switch no matter how a test exits (it is global
-// process state; other suites assume the default ON).
-class AccountingGuard {
- public:
-  ~AccountingGuard() { obs::SetAccountingEnabled(true); }
-};
+// The process-wide gauge of charged bytes; every query returns it to where
+// it started.
+int64_t ProcessBytes() {
+  return obs::MetricsRegistry::Global()
+      .GetGauge("apq_mem_current_bytes")
+      ->Value();
+}
 
 // ---- charge/uncharge units --------------------------------------------------
 
-TEST(ResourceTrackerTest, DisabledSitesAreNoOps) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(false);
-  const size_t live = obs::LiveQueryResourceCount();
-  obs::QueryIdScope qid(obs::NextQueryId());
-  obs::ChargeBytes(1 << 20);
-  obs::ChargeTransient(1 << 20);
-  obs::BillTask(obs::CurrentQueryId(), nullptr, 1e6, 1e3);
-  // No block was ever created, so there is nothing to snapshot or leak.
-  EXPECT_EQ(obs::LiveQueryResourceCount(), live);
-  obs::QueryResources qr;
-  EXPECT_FALSE(obs::SnapshotQueryResources(obs::CurrentQueryId(), &qr));
+TEST(ResourceTrackerTest, ChargesLandOnQueryAndProcessGauges) {
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope scope(&query);
+  const int64_t cur0 = ProcessBytes();
+
+  obs::ChargeBytes(4096);
+  obs::ChargeBytes(4096);
+  EXPECT_EQ(ProcessBytes(), cur0 + 8192);
+  obs::UnchargeBytes(4096);
+  EXPECT_EQ(query.acct.cur_bytes.load(), 4096u);
+  EXPECT_EQ(query.acct.peak_bytes.load(), 8192u);
+
+  obs::UnchargeBytes(4096);
+  EXPECT_EQ(query.acct.cur_bytes.load(), 0u);  // zero drift
+  EXPECT_EQ(query.acct.peak_bytes.load(), 8192u);
+  EXPECT_EQ(ProcessBytes(), cur0);
 }
 
-TEST(ResourceTrackerTest, ChargesLandOnQueryAndProcessGauges) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
-  obs::Gauge* cur =
-      obs::MetricsRegistry::Global().GetGauge("apq_mem_current_bytes");
-  const uint64_t id = obs::NextQueryId();
-  obs::QueryIdScope qid(id);
-  const int64_t cur0 = cur->Value();
-
-  obs::ChargeBytes(4096);
-  obs::ChargeBytes(4096);
-  EXPECT_EQ(cur->Value(), cur0 + 8192);
-  obs::UnchargeBytes(4096);
-
-  obs::QueryResources qr;
-  ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
-  EXPECT_EQ(qr.cur_bytes, 4096u);
-  EXPECT_EQ(qr.peak_bytes, 8192u);
-
-  obs::UnchargeBytes(4096);
-  ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
-  EXPECT_EQ(qr.cur_bytes, 0u);  // zero drift
-  EXPECT_EQ(qr.peak_bytes, 8192u);
-  EXPECT_EQ(cur->Value(), cur0);
-
-  obs::FinishQuery(id);
-  EXPECT_FALSE(obs::SnapshotQueryResources(id, &qr));
+TEST(ResourceTrackerTest, NestedQueryScopesChargeTheInnermostQuery) {
+  EXPECT_EQ(obs::CurrentQuery(), nullptr);
+  obs::QueryContext outer{obs::NextQueryId()}, inner{obs::NextQueryId()};
+  {
+    obs::QueryScope so(&outer);
+    EXPECT_EQ(obs::CurrentQuery(), &outer);
+    obs::ChargeTransient(100);
+    {
+      obs::QueryScope si(&inner);
+      EXPECT_EQ(obs::CurrentQuery(), &inner);
+      obs::ChargeTransient(300);
+    }
+    EXPECT_EQ(obs::CurrentQuery(), &outer);
+  }
+  EXPECT_EQ(obs::CurrentQuery(), nullptr);
+  EXPECT_EQ(outer.acct.peak_bytes.load(), 100u);
+  EXPECT_EQ(inner.acct.peak_bytes.load(), 300u);
 }
 
 TEST(ResourceTrackerTest, TransientChargesRaisePeakNotCurrent) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
-  const uint64_t id = obs::NextQueryId();
-  obs::QueryIdScope qid(id);
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope scope(&query);
   obs::ChargeTransient(1 << 16);
-  obs::QueryResources qr;
-  ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
-  EXPECT_EQ(qr.cur_bytes, 0u);
-  EXPECT_EQ(qr.peak_bytes, static_cast<uint64_t>(1 << 16));
-  obs::FinishQuery(id);
+  EXPECT_EQ(query.acct.cur_bytes.load(), 0u);
+  EXPECT_EQ(query.acct.peak_bytes.load(), static_cast<uint64_t>(1 << 16));
 }
 
 TEST(ResourceTrackerTest, ScopedMemChargeReleasesOnEveryPath) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
-  const uint64_t id = obs::NextQueryId();
-  obs::QueryIdScope qid(id);
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope scope(&query);
   {
     obs::ScopedMemCharge mc(1000);
     mc.Add(500);
@@ -105,37 +96,27 @@ TEST(ResourceTrackerTest, ScopedMemChargeReleasesOnEveryPath) {
     mc.Release();  // idempotent
     mc.Add(250);   // destructor releases the rest
   }
-  obs::QueryResources qr;
-  ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
-  EXPECT_EQ(qr.cur_bytes, 0u);
-  EXPECT_EQ(qr.peak_bytes, 1500u);
-  obs::FinishQuery(id);
+  EXPECT_EQ(query.acct.cur_bytes.load(), 0u);
+  EXPECT_EQ(query.acct.peak_bytes.load(), 1500u);
 }
 
 // AssumeCharged adopts bytes charged elsewhere (the sort-run pattern: run
 // tasks ChargeBytes durably, the operator's guard owns the one uncharge).
 TEST(ResourceTrackerTest, AssumeChargedAdoptsWithoutDoubleCharging) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
-  const uint64_t id = obs::NextQueryId();
-  obs::QueryIdScope qid(id);
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::QueryScope scope(&query);
   {
     obs::ChargeBytes(2048);  // "the run tasks"
     obs::ScopedMemCharge mc;
     mc.AssumeCharged(2048);
   }
-  obs::QueryResources qr;
-  ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
-  EXPECT_EQ(qr.cur_bytes, 0u);
-  EXPECT_EQ(qr.peak_bytes, 2048u);
-  obs::FinishQuery(id);
+  EXPECT_EQ(query.acct.cur_bytes.load(), 0u);
+  EXPECT_EQ(query.acct.peak_bytes.load(), 2048u);
 }
 
 // ---- operator blocks --------------------------------------------------------
 
 TEST(ResourceTrackerTest, OpAcctScopeNestsAndCollectsCharges) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
   EXPECT_EQ(obs::CurrentOpAcct(), nullptr);
   obs::OpAcct outer, inner;
   {
@@ -157,33 +138,57 @@ TEST(ResourceTrackerTest, OpAcctScopeNestsAndCollectsCharges) {
 }
 
 TEST(ResourceTrackerTest, BillTaskClampsAndAccumulates) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
-  const uint64_t id = obs::NextQueryId();
+  obs::QueryContext query{obs::NextQueryId()};
   obs::OpAcct acct;
-  obs::BillTask(id, &acct, 1000.0, 50.0);
-  obs::BillTask(id, &acct, -5.0, -5.0);  // clock skew clamps to zero
-  obs::BillTask(0, nullptr, 1e9, 1e9);   // unowned: dropped entirely
+  obs::BillTask(&query, &acct, 1000.0, 50.0);
+  obs::BillTask(&query, &acct, -5.0, -5.0);  // clock skew clamps to zero
+  obs::BillTask(nullptr, nullptr, 1e9, 1e9);  // unowned: dropped entirely
   EXPECT_EQ(acct.cpu_ns.load(), 1000u);
   EXPECT_EQ(acct.queue_wait_ns.load(), 50u);
   EXPECT_EQ(acct.tasks.load(), 2u);
-  obs::QueryResources qr;
-  ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr));
-  EXPECT_EQ(qr.cpu_ns, 1000u);
-  EXPECT_EQ(qr.queue_wait_ns, 50u);
-  EXPECT_EQ(qr.tasks, 2u);
-  obs::FinishQuery(id);
+  EXPECT_EQ(query.acct.cpu_ns.load(), 1000u);
+  EXPECT_EQ(query.acct.queue_wait_ns.load(), 50u);
+  EXPECT_EQ(query.acct.tasks.load(), 2u);
+}
+
+// Scheduler tasks see the submitting thread's query context and operator
+// block on every worker, and bill them only when a query is installed and
+// the job bills at all.
+TEST(ResourceTrackerTest, TasksBillOnlyUnderAQueryContext) {
+  MorselScheduler sched(4);
+  obs::QueryContext query{obs::NextQueryId()};
+  obs::OpAcct acct;
+  obs::OpAcctScope acct_scope(&acct);
+  std::atomic<int> foreign{0};
+  auto task = [&](obs::QueryContext* expect) {
+    return [&foreign, expect](size_t, int) {
+      if (obs::CurrentQuery() != expect) foreign.fetch_add(1);
+      volatile uint64_t x = 1;
+      for (int k = 0; k < 1000; ++k) x = x * 2654435761u + k;
+    };
+  };
+  sched.ParallelFor(64, task(nullptr));
+  EXPECT_EQ(acct.tasks.load(), 0u);
+  {
+    obs::QueryScope scope(&query);
+    sched.ParallelFor(64, task(&query), /*bill=*/false);
+    EXPECT_EQ(query.acct.tasks.load(), 0u);
+    sched.ParallelFor(64, task(&query));
+  }
+  EXPECT_EQ(foreign.load(), 0);
+  EXPECT_EQ(query.acct.tasks.load(), 64u);
+  EXPECT_EQ(acct.tasks.load(), 64u);
+  EXPECT_EQ(query.acct.cpu_ns.load(), acct.cpu_ns.load());
+  EXPECT_GT(query.acct.cpu_ns.load(), 0u);
 }
 
 // ---- evaluator-level zero drift and CPU attribution -------------------------
 
-// Execute a morselized TPC-H query under an owning query id at every worker
-// count: all durable charges must return to zero by the time Execute
-// returns, the peak must be visible, and the billed CPU must be bounded by
-// the parallelism actually available.
+// Execute a TPC-H query under an owning query context, inline (workers = 0)
+// and at every fleet size: all durable charges must return to zero by the
+// time Execute returns, the peak must be visible, and the billed CPU must be
+// bounded by the parallelism actually available.
 TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
   TpchConfig cfg;
   cfg.lineitem_rows = 6000;
   auto cat = Tpch::Generate(cfg);
@@ -191,47 +196,47 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
   for (const char* qname : {"Q6", "Q14"}) {
     auto plan = Tpch::Query(*cat, qname);
     ASSERT_TRUE(plan.ok()) << qname;
-    for (int workers : {1, 2, 4, 8}) {
+    for (int workers : {0, 1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
+      o.use_morsels = workers > 0;
       o.morsel_rows = 512;
       o.morsel_workers = workers;
       Evaluator ev(o);
 
-      const uint64_t id = obs::NextQueryId();
+      obs::QueryContext query{obs::NextQueryId()};
       EvalResult er;
+      const int64_t process0 = ProcessBytes();
       const double t0 = NowNs();
       {
-        obs::QueryIdScope qid(id);
+        obs::QueryScope scope(&query);
         ASSERT_TRUE(ev.Execute(plan.ValueOrDie(), &er).ok())
             << qname << " workers=" << workers;
       }
       const double wall = NowNs() - t0;
 
-      obs::QueryResources qr;
-      ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr))
-          << qname << " workers=" << workers;
-      EXPECT_EQ(qr.cur_bytes, 0u)
+      const obs::OpAcct& q = query.acct;
+      EXPECT_EQ(q.cur_bytes.load(), 0u)
           << qname << " workers=" << workers << " (charge drift!)";
-      EXPECT_GT(qr.peak_bytes, 0u) << qname << " workers=" << workers;
-      EXPECT_GT(qr.cpu_ns, 0u) << qname << " workers=" << workers;
+      EXPECT_EQ(ProcessBytes(), process0) << qname << " workers=" << workers;
+      EXPECT_GT(q.peak_bytes.load(), 0u) << qname << " workers=" << workers;
+      EXPECT_GT(q.cpu_ns.load(), 0u) << qname << " workers=" << workers;
 
       // Query CPU covers every operator's billed CPU (each bill lands on
-      // both the operator block and the query block).
+      // both the operator block and the query context).
       uint64_t max_op_cpu = 0;
       for (const auto& m : er.metrics) {
         max_op_cpu = std::max(max_op_cpu, m.cpu_ns);
       }
-      EXPECT_GE(qr.cpu_ns, max_op_cpu) << qname << " workers=" << workers;
-      // And cannot exceed what the fleet (workers + the submitting thread)
-      // could physically have executed inside the query's wall time; 1.25x
-      // covers timer-granularity noise on short ops.
-      EXPECT_LE(static_cast<double>(qr.cpu_ns),
-                (workers + 1) * wall * 1.25)
+      EXPECT_GE(q.cpu_ns.load(), max_op_cpu)
           << qname << " workers=" << workers;
-
-      obs::FinishQuery(id);
-      EXPECT_FALSE(obs::SnapshotQueryResources(id, &qr));
+      // And cannot exceed what the fleet (its workers + the submitting
+      // thread) could physically have executed inside the query's wall
+      // time; 1.25x covers timer-granularity noise on short ops. The fleet
+      // is read back because APQ_FORCE_MORSELS gives the inline run one.
+      const auto& fleet = ev.morsel_scheduler();
+      const int threads = fleet != nullptr ? fleet->num_workers() + 1 : 1;
+      EXPECT_LE(static_cast<double>(q.cpu_ns.load()), threads * wall * 1.25)
+          << qname << " workers=" << workers;
     }
   }
 }
@@ -240,8 +245,6 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
 // runs: with no fleet and on one, every durable charge is returned by the
 // end of Execute.
 TEST(ResourceTrackerTest, GroupByAndSortChargesReturnToZeroInlineAndOnAFleet) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
   std::vector<int64_t> kv(20000);
   for (size_t i = 0; i < kv.size(); ++i) {
     kv[i] = static_cast<int64_t>((i * 7919) % 1000);
@@ -258,17 +261,15 @@ TEST(ResourceTrackerTest, GroupByAndSortChargesReturnToZeroInlineAndOnAFleet) {
     o.morsel_rows = 512;
     o.morsel_workers = 4;
     Evaluator ev(o);
-    const uint64_t id = obs::NextQueryId();
+    obs::QueryContext query{obs::NextQueryId()};
     EvalResult er;
     {
-      obs::QueryIdScope qid(id);
+      obs::QueryScope scope(&query);
       ASSERT_TRUE(ev.Execute(plan, &er).ok()) << "fleet=" << fleet;
     }
-    obs::QueryResources qr;
-    ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr)) << "fleet=" << fleet;
-    EXPECT_EQ(qr.cur_bytes, 0u) << "fleet=" << fleet << " (charge drift!)";
-    EXPECT_GT(qr.peak_bytes, 0u) << "fleet=" << fleet;
-    obs::FinishQuery(id);
+    EXPECT_EQ(query.acct.cur_bytes.load(), 0u)
+        << "fleet=" << fleet << " (charge drift!)";
+    EXPECT_GT(query.acct.peak_bytes.load(), 0u) << "fleet=" << fleet;
   }
 }
 
@@ -276,8 +277,6 @@ TEST(ResourceTrackerTest, GroupByAndSortChargesReturnToZeroInlineAndOnAFleet) {
 // Those node tasks must bill nothing themselves: the query's CPU is exactly
 // the sum of its operators' CPU, and every durable charge is returned.
 TEST(ResourceTrackerTest, CloneLevelsOnTheFleetBillOnlyTheirOperators) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
   TpchConfig cfg;
   cfg.lineitem_rows = 6000;
   auto cat = Tpch::Generate(cfg);
@@ -293,20 +292,17 @@ TEST(ResourceTrackerTest, CloneLevelsOnTheFleetBillOnlyTheirOperators) {
   o.morsel_workers = 4;
   Evaluator ev(o);
   for (int rep = 0; rep < 3; ++rep) {
-    const uint64_t id = obs::NextQueryId();
+    obs::QueryContext query{obs::NextQueryId()};
     EvalResult er;
     {
-      obs::QueryIdScope qid(id);
+      obs::QueryScope scope(&query);
       ASSERT_TRUE(ev.Execute(plan.ValueOrDie(), &er).ok()) << rep;
     }
-    obs::QueryResources qr;
-    ASSERT_TRUE(obs::SnapshotQueryResources(id, &qr)) << rep;
-    EXPECT_EQ(qr.cur_bytes, 0u) << rep << " (charge drift!)";
+    EXPECT_EQ(query.acct.cur_bytes.load(), 0u) << rep << " (charge drift!)";
     uint64_t op_cpu = 0;
     for (const auto& m : er.metrics) op_cpu += m.cpu_ns;
     EXPECT_GT(op_cpu, 0u) << rep;
-    EXPECT_EQ(qr.cpu_ns, op_cpu) << rep;
-    obs::FinishQuery(id);
+    EXPECT_EQ(query.acct.cpu_ns.load(), op_cpu) << rep;
   }
 }
 
@@ -360,12 +356,10 @@ TEST(ResourceTrackerTest, DebugJsonCarriesWorkerListAndFlight) {
 
 // ---- engine lifecycle -------------------------------------------------------
 
-// The engine snapshots the block into the profile document and the query
-// record, then retires it: live block count returns to its baseline, and
-// the recorded surfaces carry the resource fields.
-TEST(ResourceTrackerTest, EngineRecordsResourcesAndRetiresBlocks) {
-  AccountingGuard guard;
-  obs::SetAccountingEnabled(true);
+// The engine snapshots its query context into the profile document and the
+// query record: every byte a plain or an adaptive query charged is returned
+// to the process gauge, and the recorded surfaces carry the resource fields.
+TEST(ResourceTrackerTest, EngineRecordsResourcesAndReturnsEveryCharge) {
   obs::QueryLog::Global().Clear();
 
   TpchConfig cfg;
@@ -375,16 +369,14 @@ TEST(ResourceTrackerTest, EngineRecordsResourcesAndRetiresBlocks) {
   ASSERT_TRUE(q6.ok());
 
   EngineConfig ecfg = EngineConfig::WithSim(SimConfig::Cores(8, 4));
-  ecfg.use_morsels = true;
   ecfg.morsel_rows = 512;
-  ecfg.morsel_workers = 4;
+  ecfg.morsel_scheduler = std::make_shared<MorselScheduler>(4);
   Engine engine(ecfg);
 
-  const size_t live0 = obs::LiveQueryResourceCount();
+  const int64_t process0 = ProcessBytes();
   auto out = engine.RunSerial(q6.ValueOrDie());
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(obs::LiveQueryResourceCount(), live0)
-      << "engine leaked a query accounting block";
+  EXPECT_EQ(ProcessBytes(), process0) << "RunSerial left bytes charged";
 
   const auto snap = obs::QueryLog::Global().Snapshot();
   ASSERT_FALSE(snap.empty());
@@ -401,14 +393,32 @@ TEST(ResourceTrackerTest, EngineRecordsResourcesAndRetiresBlocks) {
     EXPECT_NE(profile.find(needle), std::string::npos) << needle;
   }
   // Per-operator attribution made it into the ops array too.
-  EXPECT_NE(profile.find("\"ops\":["), std::string::npos);
+  const size_t ops = profile.find("\"ops\":[");
+  ASSERT_NE(ops, std::string::npos);
+  for (const char* needle :
+       {"\"tuples_in\":", "\"peak_bytes\":", "\"cpu_ns\":",
+        "\"queue_wait_ns\":", "\"num_morsels\":"}) {
+    EXPECT_NE(profile.find(needle, ops), std::string::npos) << needle;
+  }
+
+  auto adaptive = engine.RunAdaptive(q6.ValueOrDie());
+  ASSERT_TRUE(adaptive.ok());
+  EXPECT_EQ(ProcessBytes(), process0) << "RunAdaptive left bytes charged";
+  const auto snap2 = obs::QueryLog::Global().Snapshot();
+  ASSERT_FALSE(snap2.empty());
+  EXPECT_EQ(snap2[0].id, adaptive.ValueOrDie().query_id);
+  EXPECT_EQ(snap2[0].kind, "adaptive");
+  EXPECT_GT(snap2[0].peak_bytes, 0u);
+  EXPECT_GT(snap2[0].cpu_ns, 0.0);
   obs::QueryLog::Global().Clear();
 }
 
 // ---- determinism: accounting must never perturb results ---------------------
 
-TEST(ResourceTrackerTest, TpchSuiteBitIdenticalAccountingOnAndOff) {
-  AccountingGuard guard;
+// Each query runs whole-column, then on a 1/2/4/8-worker fleet without a
+// query context (no task bills) and with one (every task bills): all three
+// results and every operator's tuple counts must agree.
+TEST(ResourceTrackerTest, TpchSuiteBitIdenticalWithAndWithoutAQueryContext) {
   TpchConfig cfg;
   cfg.lineitem_rows = 6000;
   auto cat = Tpch::Generate(cfg);
@@ -417,8 +427,6 @@ TEST(ResourceTrackerTest, TpchSuiteBitIdenticalAccountingOnAndOff) {
     auto plan = Tpch::Query(*cat, name);
     ASSERT_TRUE(plan.ok()) << name;
 
-    // Baseline: accounting off, whole-column kernels.
-    obs::SetAccountingEnabled(false);
     Evaluator base_ev(ExecOptions{});
     EvalResult base;
     ASSERT_TRUE(base_ev.Execute(plan.ValueOrDie(), &base).ok()) << name;
@@ -429,22 +437,20 @@ TEST(ResourceTrackerTest, TpchSuiteBitIdenticalAccountingOnAndOff) {
       o.morsel_rows = 512;
       o.morsel_workers = workers;
 
-      obs::SetAccountingEnabled(false);
       Evaluator off_ev(o);
       EvalResult off;
       ASSERT_TRUE(off_ev.Execute(plan.ValueOrDie(), &off).ok())
           << name << " workers=" << workers;
 
-      obs::SetAccountingEnabled(true);
-      const uint64_t id = obs::NextQueryId();
+      obs::QueryContext query{obs::NextQueryId()};
       Evaluator on_ev(o);
       EvalResult on;
       {
-        obs::QueryIdScope qid(id);
+        obs::QueryScope scope(&query);
         ASSERT_TRUE(on_ev.Execute(plan.ValueOrDie(), &on).ok())
             << name << " workers=" << workers;
       }
-      obs::FinishQuery(id);
+      EXPECT_GT(query.acct.tasks.load(), 0u) << name << " workers=" << workers;
 
       EXPECT_EQ(DiffIntermediates(base.result, off.result), "")
           << name << " workers=" << workers;

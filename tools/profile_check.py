@@ -14,7 +14,7 @@ Checks per document:
     status in {ok, error} (error implies a non-empty error message),
     non-negative wall_ns/time_ns/rows/runs/mutations and the resource
     accounting fields (peak_bytes/cpu_ns/queue_wait_ns/workers/
-    parallel_efficiency — zeros with accounting off);
+    parallel_efficiency);
   * lineage: a list; for a successful adaptive query exactly `runs` entries
     (the AdaptiveOutcome invariant), each with run/time_ns/skew fields, a
     victim, an action, and ascending split_rows; `mutations` equals the
