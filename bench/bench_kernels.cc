@@ -153,10 +153,8 @@ BENCHMARK(BM_JoinProbeVectorized);
 // runs as one fleet job, and each clone's morsels join the same fleet.
 
 void BM_ExchangePlanThreads(benchmark::State& state) {
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = static_cast<int>(state.range(0));
-  Evaluator eval(o);
+  Evaluator eval(ExecOptions(), std::make_shared<MorselScheduler>(
+                                    static_cast<int>(state.range(0))));
   PlanBuilder b("xplan");
   int sel = b.Select(F().ints.get(), Predicate::RangeI64(0, 499));
   int f = b.FetchJoin(F().floats.get(), sel);

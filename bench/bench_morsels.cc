@@ -82,15 +82,12 @@ void ReportWorkerThroughput(benchmark::State& state,
 void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
                   bool use_morsels) {
   const int workers = static_cast<int>(state.range(0));
-  ExecOptions o;
-  o.use_morsels = use_morsels;
-  o.morsel_workers = workers;
-  Evaluator eval(o);
-  std::shared_ptr<MorselScheduler> sched;
+  std::shared_ptr<MorselScheduler> sched =
+      use_morsels ? std::make_shared<MorselScheduler>(workers) : nullptr;
+  Evaluator eval(ExecOptions(), sched);
   std::vector<MorselWorkerStats> before;
   uint64_t caller_before = 0;
   if (use_morsels) {
-    sched = eval.EnsureMorselScheduler();
     before = sched->worker_stats();
     caller_before = sched->caller_tasks();
   }

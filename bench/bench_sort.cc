@@ -98,15 +98,12 @@ void ReportSortCounters(benchmark::State& state, const MorselScheduler& sched,
 
 void RunPlanBench(benchmark::State& state, const QueryPlan& plan,
                   bool parallel, int workers) {
-  ExecOptions o;
-  o.use_morsels = parallel;
-  o.morsel_workers = workers;
-  Evaluator eval(o);
-  std::shared_ptr<MorselScheduler> sched;
+  std::shared_ptr<MorselScheduler> sched =
+      parallel ? std::make_shared<MorselScheduler>(workers) : nullptr;
+  Evaluator eval(ExecOptions(), sched);
   std::vector<MorselWorkerStats> before;
   uint64_t caller_before = 0;
   if (parallel) {
-    sched = eval.EnsureMorselScheduler();
     before = sched->worker_stats();
     caller_before = sched->caller_tasks();
   }

@@ -1,7 +1,6 @@
 #include "adaptive/executor.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "obs/metrics.h"
 #include "obs/resource_tracker.h"
@@ -60,18 +59,7 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
   ConvergenceController conv(params_.convergence);
   Mutator mutator(params_.mutator);
 
-  // Morsel-size hints are per-plan (node ids): start every adaptive process
-  // clean, and clear them again on EVERY exit path (including error
-  // returns) — a leaked hint map would silently shrink the morsels of any
-  // later query whose node ids collide, which is all of them.
-  evaluator_->SetAdaptiveMorselRows({});
-  struct HintGuard {
-    Evaluator* evaluator;
-    ~HintGuard() { evaluator->SetAdaptiveMorselRows({}); }
-  } hint_guard{evaluator_};
-
   QueryPlan plan = serial_plan.Clone();
-  Intermediate serial_result;
   int run = 0;
   // The controller only ever moves the GME forward to the run it just
   // observed, and the loop returns either that run or run 0, so only those
@@ -79,10 +67,10 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
   RunProfile serial_profile;
   QueryPlan gme_plan;
   RunProfile gme_profile;
-  // Last run's morsel-size hints, keyed by node id: the proportional skew
-  // response below shrinks/grows relative to these rather than restarting
-  // from the base size every run.
-  std::unordered_map<int, uint64_t> prev_hints;
+  // Last run's morsel-size hints, keyed by node id: the next run executes
+  // with them, and the proportional skew response below shrinks/grows
+  // relative to them rather than restarting from the base size every run.
+  MorselRowsByNode prev_hints;
 
   static obs::Counter* const adaptive_runs =
       obs::MetricsRegistry::Global().GetCounter("apq_adaptive_runs_total");
@@ -100,12 +88,11 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
                             static_cast<int64_t>(out.query_id));
     adaptive_runs->Inc();
     EvalResult er;
-    APQ_RETURN_NOT_OK(evaluator_->Execute(plan, &er));
+    APQ_RETURN_NOT_OK(evaluator_->Execute(plan, &er, prev_hints));
     if (run == 0) {
-      serial_result = er.result;
-      out.result = er.result;
+      out.result = std::move(er.result);
     } else if (params_.verify_results) {
-      std::string diff = DiffIntermediates(serial_result, er.result, 1e-6);
+      std::string diff = DiffIntermediates(out.result, er.result, 1e-6);
       if (!diff.empty()) {
         return Status::Internal("run " + std::to_string(run) +
                                 " result diverged from serial: " + diff);
@@ -157,7 +144,7 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     // an operator at tiny morsels forever. Hints persist across runs while
     // the node survives; mutated clones have fresh node ids, so hints never
     // outlive the nodes they profiled.
-    std::unordered_map<int, uint64_t> hints;
+    MorselRowsByNode hints;
     const uint64_t base = evaluator_->EffectiveMorselRows();
     for (const auto& op : profile.ops) {
       if (op.num_morsels < 2) continue;
@@ -187,8 +174,7 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
                          node, static_cast<int64_t>(rows));
       }
     }
-    prev_hints = hints;
-    evaluator_->SetAdaptiveMorselRows(std::move(hints));
+    prev_hints = std::move(hints);
 
     if (!cont) break;
 

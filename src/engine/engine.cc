@@ -78,7 +78,7 @@ StatusOr<QueryRunResult> Engine::RunPlanInner(
   out.time_ns = sim.time_ns;
   out.wall_ns = er.wall_ns;
   out.utilization = sim.profile.utilization;
-  out.result = er.result;
+  out.result = std::move(er.result);
   out.stats = plan.Stats();
   out.profile = std::move(sim.profile);
   return out;

@@ -26,20 +26,20 @@ struct EngineConfig {
   MutatorConfig mutator;
   int hp_dop = 32;                 // heuristic parallelizer default DOP
   bool verify_results = false;     // cross-check every adaptive run
-  /// Real execution backend (see ExecOptions): the vectorized kernels at
-  /// the best SIMD tier the CPU supports, and the thread fleet that runs
-  /// operator morsels and exchange clone levels. Simulated timings are
+  /// Real execution backend: the vectorized kernels at the best SIMD tier
+  /// the CPU supports, and the thread fleet (sched/morsel_scheduler.h) that
+  /// runs operator morsels and exchange clone levels. Simulated timings are
   /// unaffected; wall_ns fields report hardware truth. Tracing (obs/trace.h)
   /// and the introspection endpoint (obs/http_exporter.h) are process-wide,
   /// switched by APQ_TRACE / APQ_HTTP or their obs/ calls, not per engine.
+  /// use_morsels gives the engine its own fleet, one worker per hardware
+  /// thread, made when the engine is built.
   bool use_morsels = false;
   uint64_t morsel_rows = kDefaultMorselRows;
-  /// Thread fleet to share with other engines/queries. When null and
-  /// use_morsels is set, the engine creates its own, one worker per hardware
-  /// thread; pass another engine's morsel_scheduler() (or any scheduler) so
-  /// concurrent queries multiplex one worker fleet instead of one pool each.
-  /// Injecting a scheduler implies use_morsels — a shared fleet that no
-  /// query ever dispatches to would be a silent misconfiguration.
+  /// A fleet shared with other engines, handed to the evaluator instead of
+  /// one of the engine's own (use_morsels is then implied): pass another
+  /// engine's morsel_scheduler() so concurrent queries multiplex one worker
+  /// fleet instead of one pool each.
   std::shared_ptr<MorselScheduler> morsel_scheduler;
 
   EngineConfig() { convergence.cores = sim.logical_cores; }
@@ -70,25 +70,20 @@ class Engine {
  public:
   explicit Engine(EngineConfig config = EngineConfig())
       : config_(config),
-        evaluator_(MakeExecOptions(config)),
+        evaluator_(ExecOptions{config.morsel_rows},
+                   config.morsel_scheduler == nullptr && config.use_morsels
+                       ? std::make_shared<MorselScheduler>()
+                       : config.morsel_scheduler),
         cost_model_(config.cost),
-        simulator_(config.sim) {
-    if (config_.morsel_scheduler) {
-      evaluator_.set_morsel_scheduler(config_.morsel_scheduler);
-    } else if (config_.use_morsels) {
-      // Created eagerly so morsel_scheduler() can be handed to sibling
-      // engines before the first query runs.
-      evaluator_.EnsureMorselScheduler();
-    }
-  }
+        simulator_(config.sim) {}
 
   const EngineConfig& config() const { return config_; }
   Evaluator* evaluator() { return &evaluator_; }
 
   /// The thread fleet this engine's queries execute on (null unless
-  /// use_morsels or an injected scheduler): operator morsels and the clone
-  /// levels of heuristic or adapted plans run on it. Pass it to other
-  /// engines' EngineConfig::morsel_scheduler to share one worker fleet.
+  /// use_morsels, a shared scheduler or APQ_FORCE_MORSELS): operator morsels
+  /// and the clone levels of heuristic or adapted plans run on it. Pass it
+  /// to other engines' EngineConfig::morsel_scheduler to share one fleet.
   const std::shared_ptr<MorselScheduler>& morsel_scheduler() const {
     return evaluator_.morsel_scheduler();
   }
@@ -136,13 +131,6 @@ class Engine {
   StatusOr<QueryRunResult> RunPlanInner(const QueryPlan& plan,
                                         const std::vector<SimTask>& background,
                                         uint64_t seed_salt);
-
-  static ExecOptions MakeExecOptions(const EngineConfig& c) {
-    ExecOptions o;
-    o.use_morsels = c.use_morsels;
-    o.morsel_rows = c.morsel_rows;
-    return o;
-  }
 
   EngineConfig config_;
   Evaluator evaluator_;

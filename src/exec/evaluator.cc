@@ -4,7 +4,6 @@
 #include <array>
 #include <functional>
 #include <string>
-#include <unordered_map>
 
 #include "exec/agg/parallel_agg.h"
 #include "exec/kernels.h"
@@ -195,14 +194,73 @@ void SetIdDomain(const oid* ids, uint64_t b, uint64_t e, RowRange range,
   mm->domain_end = de;
 }
 
+// The int64 keys of `v`: its own storage, or its float64 values truncated by
+// AsInt into `scratch`.
+const int64_t* IntKeys(const ValueVec& v, std::vector<int64_t>* scratch) {
+  if (!v.is_f64()) return v.i64.data();
+  scratch->resize(v.size());
+  for (uint64_t i = 0; i < v.size(); ++i) (*scratch)[i] = v.AsInt(i);
+  return scratch->data();
+}
+
+// One aggregate function, defined once for every fold: its identity, how a
+// partial (value, count) merges into an accumulator, and how the
+// accumulator finishes. A row is the partial (value, 1). COUNT adds counts;
+// AVG weighs each partial's value by its count, then divides by the total.
+struct AggFold {
+  AggFn fn;
+
+  double Identity() const {
+    const double far = 1e300;  // MIN's identity; MAX's is its negation
+    return fn == AggFn::kMin ? far : fn == AggFn::kMax ? -far : 0.0;
+  }
+  void Merge(double* acc, double v, int64_t count) const {
+    switch (fn) {
+      case AggFn::kSum: *acc += v; break;
+      case AggFn::kCount: *acc += static_cast<double>(count); break;
+      case AggFn::kAvg: *acc += v * static_cast<double>(count); break;
+      case AggFn::kMin: *acc = std::min(*acc, v); break;
+      case AggFn::kMax: *acc = std::max(*acc, v); break;
+      case AggFn::kNone: break;
+    }
+  }
+  double Finish(double acc, int64_t count) const {
+    return fn == AggFn::kAvg && count > 0 ? acc / static_cast<double>(count)
+                                          : acc;
+  }
+};
+
+// Folds the partial (value(i), counts[i]) of each i < n into group gids[i],
+// in input order, and finishes result's `ngroups` groups. Null counts make
+// every partial a row (count 1).
+template <typename Value>
+void FoldGroups(const AggFold& fold, const int64_t* gids, uint64_t n,
+                size_t ngroups, const Value& value, const int64_t* counts,
+                Intermediate* result) {
+  result->agg_vals.assign(ngroups, fold.Identity());
+  result->agg_counts.assign(ngroups, 0);
+  for (uint64_t i = 0; i < n; ++i) {
+    const int64_t c = counts != nullptr ? counts[i] : 1;
+    fold.Merge(&result->agg_vals[gids[i]], value(i), c);
+    result->agg_counts[gids[i]] += c;
+  }
+  for (size_t g = 0; g < ngroups; ++g) {
+    double& acc = result->agg_vals[g];
+    acc = fold.Finish(acc, result->agg_counts[g]);
+  }
+}
+
 }  // namespace
 
 #define APQ_INPUT_OF(ctx, id, out) \
   APQ_RETURN_NOT_OK(InputSlot(*(ctx).slots, *(ctx).done, (id), (out)))
 
-bool Evaluator::MorselsEnabled() const {
-  return options_.use_morsels || (morsel_sched_ && !morsel_sched_owned_) ||
-         ForcedEnvMorselRows() != 0;
+Evaluator::~Evaluator() {
+  uint64_t bytes = 0;
+  for (const auto& [column, slot] : hash_cache_) {
+    if (slot->index != nullptr) bytes += slot->index->byte_size();
+  }
+  obs::AddHashCacheBytes(-static_cast<int64_t>(bytes));
 }
 
 uint64_t Evaluator::EffectiveMorselRows() const {
@@ -219,27 +277,8 @@ uint64_t Evaluator::ForcedEnvMorselRows() {
   return forced;
 }
 
-uint64_t Evaluator::MorselRowsForNode(int node_id) const {
-  if (!adaptive_rows_.empty()) {
-    auto it = adaptive_rows_.find(node_id);
-    if (it != adaptive_rows_.end() && it->second > 0) return it->second;
-  }
-  return EffectiveMorselRows();
-}
-
-const std::shared_ptr<MorselScheduler>& Evaluator::EnsureMorselScheduler() {
-  if (!morsel_sched_) {
-    morsel_sched_ = std::make_shared<MorselScheduler>(options_.morsel_workers);
-    morsel_sched_owned_ = true;
-  }
-  return morsel_sched_;
-}
-
-MorselScheduler* Evaluator::Fleet() {
-  return MorselsEnabled() ? EnsureMorselScheduler().get() : nullptr;
-}
-
-std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column) {
+std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column,
+                                                     const ExecContext& ctx) {
   // hash_mu_ only covers the map lookup/insert; the build itself runs under
   // the slot's once_flag. Concurrent first builds of *different* inners
   // therefore proceed in parallel, while clones racing for the *same* inner
@@ -260,12 +299,13 @@ std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column) {
     obs::ChargeTransient(slot->index->byte_size());
     obs::AddHashCacheBytes(static_cast<int64_t>(slot->index->byte_size()));
     std::lock_guard<std::mutex> lock(hash_mu_);
-    hash_builds_.emplace_back(&column, slot->index->num_keys());
+    ctx.hash_builds->emplace_back(&column, slot->index->num_keys());
   });
   return slot->index;
 }
 
-Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
+Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out,
+                          const MorselRowsByNode& node_rows) {
   APQ_RETURN_NOT_OK(plan.Validate());
   out->intermediates.clear();
   out->metrics.clear();
@@ -276,11 +316,9 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   std::vector<Intermediate> slots(plan.num_nodes());
   std::vector<uint8_t> done(plan.num_nodes(), 0);
   std::vector<OpMetrics> metrics(order.size());
-
-  {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    hash_builds_.clear();
-  }
+  HashBuildLog hash_builds;
+  const ExecContext ctx{&slots, &done, &node_rows, EffectiveMorselRows(),
+                        &hash_builds};
   // One span per plan execution: the nesting parent of every operator span
   // on this thread (query -> [adaptive run ->] execute -> operator).
   // a1 = the engine's query id, correlating this span with
@@ -289,7 +327,7 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
                            static_cast<int64_t>(order.size()),
                            static_cast<int64_t>(obs::CurrentQueryId()));
   double t0 = NowNs();
-  Status exec_st = RunNodes(plan, order, &slots, &done, &metrics);
+  Status exec_st = RunNodes(plan, order, ctx, &slots, &done, &metrics);
   // Uncharge every materialized slot (ExecNode charged each completed
   // node's output durable) before slots are moved out — on the error path
   // too, so a failed query cannot leave drift behind.
@@ -300,19 +338,17 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
   out->wall_ns = NowNs() - t0;
 
   // Attribute hash-build cost to the topologically-first join over each
-  // built inner, independent of which worker actually built it.
-  {
-    std::lock_guard<std::mutex> lock(hash_mu_);
-    for (const auto& [col, rows] : hash_builds_) {
-      for (size_t i = 0; i < order.size(); ++i) {
-        const PlanNode& node = plan.node(order[i]);
-        if (node.kind == OpKind::kJoin && node.column2 == col) {
-          metrics[i].hash_build_rows += rows;
-          break;
-        }
+  // built inner, independent of which worker actually built it, so
+  // hash_build_rows is identical for serial and threaded execution. Every
+  // node has finished, so the log needs no lock.
+  for (const auto& [col, rows] : hash_builds) {
+    for (size_t i = 0; i < order.size(); ++i) {
+      const PlanNode& node = plan.node(order[i]);
+      if (node.kind == OpKind::kJoin && node.column2 == col) {
+        metrics[i].hash_build_rows += rows;
+        break;
       }
     }
-    hash_builds_.clear();
   }
 
   out->metrics = std::move(metrics);
@@ -326,20 +362,22 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out) {
     tf.in->Inc(m.tuples_in);
     tf.out->Inc(m.tuples_out);
   }
-  const PlanNode& res = plan.node(plan.result_id());
-  out->result = slots[res.inputs[0]];
+  // The result node's slot already holds a copy of its input.
+  out->result = std::move(slots[plan.result_id()]);
   for (int id : order) {
-    out->intermediates.emplace(id, std::move(slots[id]));
+    if (id != plan.result_id()) {
+      out->intermediates.emplace(id, std::move(slots[id]));
+    }
   }
   return Status::OK();
 }
 
 Status Evaluator::RunNodes(const QueryPlan& plan,
                            const std::vector<int>& order,
+                           const ExecContext& ctx,
                            std::vector<Intermediate>* slots,
                            std::vector<uint8_t>* done,
                            std::vector<OpMetrics>* metrics) {
-  ExecContext ctx{slots, done};
   auto run = [&](size_t i) {
     const PlanNode& node = plan.node(order[i]);
     OpMetrics& m = (*metrics)[i];
@@ -349,10 +387,8 @@ Status Evaluator::RunNodes(const QueryPlan& plan,
   };
 
   // Only exchange clones are worth a fleet job: a plan without a union runs
-  // inline, node after node, so serial plans keep their thread use. The
-  // fleet is created here, on the calling thread, before any node runs:
-  // lazy creation inside a node task would race.
-  MorselScheduler* fleet = Fleet();
+  // inline, node after node, so serial plans keep their thread use.
+  MorselScheduler* fleet = fleet_.get();
   const bool has_union =
       std::any_of(order.begin(), order.end(), [&](int id) {
         return plan.node(id).kind == OpKind::kExchangeUnion;
@@ -506,7 +542,7 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
   if (in) {
     const oid* cand = in->rowids.data();
     outs = RunSpans(
-        Fleet(), MorselRowsForNode(node.id), 0, in->rowids.size(),
+        fleet_.get(), ctx.MorselRows(node.id), 0, in->rowids.size(),
         "morsel-select-cand", m,
         [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
           SelectCandidatesSpan(col, range, node.pred, &like_match, cand + b,
@@ -517,7 +553,7 @@ Status Evaluator::ExecSelect(const PlanNode& node, const ExecContext& ctx,
     for (const SpanOut& o : outs) m->random_accesses += o.accesses;
   } else {
     outs = RunSpans(
-        Fleet(), MorselRowsForNode(node.id), range.begin, range.end,
+        fleet_.get(), ctx.MorselRows(node.id), range.begin, range.end,
         "morsel-select", m,
         [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
           SelectDense(col, RowRange{b, e}, node.pred, &like_match, &o->rows,
@@ -579,7 +615,7 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
     }
   }
   std::vector<SpanOut> outs = RunSpans(
-      Fleet(), MorselRowsForNode(node.id), 0, ids->size(), "morsel-gather",
+      fleet_.get(), ctx.MorselRows(node.id), 0, ids->size(), "morsel-gather",
       m, [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
         if (clip) {
           o->values = MakeVecLike(col);
@@ -623,7 +659,7 @@ Status Evaluator::ExecFetchJoin(const PlanNode& node, const ExecContext& ctx,
 Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
                            Intermediate* result, OpMetrics* m) {
   const Column& inner = *node.column2;
-  const std::shared_ptr<HashIndex> hash = GetOrBuildHash(inner);
+  const std::shared_ptr<HashIndex> hash = GetOrBuildHash(inner, ctx);
   result->kind = Intermediate::Kind::kPairs;
 
   // Per-probe matches are appended to the right-side vector by the index;
@@ -644,7 +680,7 @@ Status Evaluator::ExecJoin(const PlanNode& node, const ExecContext& ctx,
                                                 std::vector<oid>*,
                                                 std::vector<oid>*)>& span) {
     std::vector<SpanOut> outs = RunSpans(
-        Fleet(), MorselRowsForNode(node.id), 0, n, "morsel-probe", m,
+        fleet_.get(), ctx.MorselRows(node.id), 0, n, "morsel-probe", m,
         [&](uint64_t b, uint64_t e, SpanOut* o, MorselMetrics* mm) {
           o->rows.reserve(e - b);
           o->rrows.reserve(e - b);
@@ -733,16 +769,9 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     result->origin = in->origin;
     result->head = in->head;
     m->tuples_in = in->values.size();
-    keys = in->values.i64.data();
-    if (in->values.is_f64()) {
-      // The truncated keys are int64, and so is the vector that holds them.
-      result->group_keys.type = DataType::kInt64;
-      truncated.resize(m->tuples_in);
-      for (uint64_t i = 0; i < m->tuples_in; ++i) {
-        truncated[i] = in->values.AsInt(i);
-      }
-      keys = truncated.data();
-    }
+    keys = IntKeys(in->values, &truncated);
+    // The truncated keys are int64, and so is the vector that holds them.
+    if (in->values.is_f64()) result->group_keys.type = DataType::kInt64;
   } else {
     // Plan validation guarantees an int64-backed column (ints, dates and
     // dictionary codes).
@@ -754,7 +783,7 @@ Status Evaluator::ExecGroupBy(const PlanNode& node, const ExecContext& ctx,
     m->tuples_in = range.size();
     keys = col.i64().data() + range.begin;
   }
-  GroupByIngest(keys, m->tuples_in, Fleet(), MorselRowsForNode(node.id),
+  GroupByIngest(keys, m->tuples_in, fleet_.get(), ctx.MorselRows(node.id),
                 &result->group_ids, &result->group_keys.i64, &m->morsels);
   m->tuples_out = result->group_ids.size();
   m->random_accesses = m->tuples_in;
@@ -790,37 +819,15 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
     size_t ngroups = first->group_keys.size();
     result->kind = Intermediate::Kind::kGroupedAgg;
     result->group_keys = first->group_keys;
-    result->agg_counts.assign(ngroups, 0);
-    double init = node.agg_fn == AggFn::kMin ? 1e300
-                 : node.agg_fn == AggFn::kMax ? -1e300
-                                              : 0.0;
-    result->agg_vals.assign(ngroups, init);
     uint64_t n = first->group_ids.size();
     m->tuples_in = n;
     // One sequential fold: every group sees its rows in input order, so
     // SUM/AVG do not depend on morsel size or worker count.
-    for (uint64_t i = 0; i < n; ++i) {
-      int64_t g = first->group_ids[i];
-      double v = vals ? vals->values.AsDouble(i) : 1.0;
-      switch (node.agg_fn) {
-        case AggFn::kSum:
-        case AggFn::kAvg: result->agg_vals[g] += v; break;
-        case AggFn::kCount: result->agg_vals[g] += 1.0; break;
-        case AggFn::kMin:
-          result->agg_vals[g] = std::min(result->agg_vals[g], v);
-          break;
-        case AggFn::kMax:
-          result->agg_vals[g] = std::max(result->agg_vals[g], v);
-          break;
-        case AggFn::kNone: break;
-      }
-      result->agg_counts[g] += 1;
-    }
-    if (node.agg_fn == AggFn::kAvg) {
-      for (size_t g = 0; g < ngroups; ++g) {
-        if (result->agg_counts[g] > 0) result->agg_vals[g] /= result->agg_counts[g];
-      }
-    }
+    const auto value = [&](uint64_t i) {
+      return vals != nullptr ? vals->values.AsDouble(i) : 0.0;  // COUNT
+    };
+    FoldGroups(AggFold{node.agg_fn}, first->group_ids.data(), n, ngroups,
+               value, nullptr, result);
     m->tuples_out = ngroups;
     m->bytes_in = n * 16;
     m->bytes_out = ngroups * 24;
@@ -837,9 +844,8 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
   uint64_t n = first->kind == Intermediate::Kind::kValues ? first->values.size()
                                                           : first->rowids.size();
   m->tuples_in = n;
-  double acc = node.agg_fn == AggFn::kMin ? 1e300
-              : node.agg_fn == AggFn::kMax ? -1e300
-                                           : 0.0;
+  const AggFold fold{node.agg_fn};
+  double acc = fold.Identity();
   if (first->kind == Intermediate::Kind::kValues) {
     // SIMD ingest reductions, only where the result is provably the scalar
     // fold's: COUNT is (double)n exactly while n <= 2^53 (the repeated +1.0
@@ -887,15 +893,7 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
     }
     if (!done) {
       for (uint64_t i = 0; i < n; ++i) {
-        double v = first->values.AsDouble(i);
-        switch (node.agg_fn) {
-          case AggFn::kSum:
-          case AggFn::kAvg: acc += v; break;
-          case AggFn::kCount: acc += 1.0; break;
-          case AggFn::kMin: acc = std::min(acc, v); break;
-          case AggFn::kMax: acc = std::max(acc, v); break;
-          case AggFn::kNone: break;
-        }
+        fold.Merge(&acc, first->values.AsDouble(i), 1);
       }
     }
   } else {
@@ -904,8 +902,7 @@ Status Evaluator::ExecAggregate(const PlanNode& node, const ExecContext& ctx,
     }
     acc = static_cast<double>(n);
   }
-  if (node.agg_fn == AggFn::kAvg && n > 0) acc /= static_cast<double>(n);
-  result->scalar = acc;
+  result->scalar = fold.Finish(acc, static_cast<int64_t>(n));
   result->scalar_count = static_cast<int64_t>(n);
   m->tuples_out = 1;
   m->bytes_in = n * 8;
@@ -923,47 +920,17 @@ Status Evaluator::ExecAggrMerge(const PlanNode& node, const ExecContext& ctx,
   result->kind = Intermediate::Kind::kGroupedAgg;
   result->group_keys.type = in->group_keys.type;
   result->group_keys.dict = in->group_keys.dict;
-  std::unordered_map<int64_t, size_t> key_to_slot;
-  uint64_t n = in->agg_vals.size();
+  const uint64_t n = in->agg_vals.size();
   m->tuples_in = n;
-  for (uint64_t i = 0; i < n; ++i) {
-    int64_t key = in->group_keys.AsInt(i);
-    auto [it, inserted] = key_to_slot.emplace(key, result->agg_vals.size());
-    if (inserted) {
-      result->group_keys.i64.push_back(key);
-      double init = node.agg_fn == AggFn::kMin ? 1e300
-                   : node.agg_fn == AggFn::kMax ? -1e300
-                                                : 0.0;
-      result->agg_vals.push_back(init);
-      result->agg_counts.push_back(0);
-    }
-    size_t slot = it->second;
-    double v = in->agg_vals[i];
-    int64_t c = in->agg_counts.empty() ? 1 : in->agg_counts[i];
-    switch (node.agg_fn) {
-      case AggFn::kSum:
-      case AggFn::kCount: result->agg_vals[slot] += v; break;
-      case AggFn::kAvg:
-        // Partial avgs are combined weighted by their counts.
-        result->agg_vals[slot] += v * static_cast<double>(c);
-        break;
-      case AggFn::kMin:
-        result->agg_vals[slot] = std::min(result->agg_vals[slot], v);
-        break;
-      case AggFn::kMax:
-        result->agg_vals[slot] = std::max(result->agg_vals[slot], v);
-        break;
-      case AggFn::kNone: break;
-    }
-    result->agg_counts[slot] += c;
-  }
-  if (node.agg_fn == AggFn::kAvg) {
-    for (size_t g = 0; g < result->agg_vals.size(); ++g) {
-      if (result->agg_counts[g] > 0) {
-        result->agg_vals[g] /= static_cast<double>(result->agg_counts[g]);
-      }
-    }
-  }
+  // Partials are numbered by key like a group-by's rows, in first-occurrence
+  // order (inline: partials are few), and fold like grouped rows.
+  std::vector<int64_t> scratch, gids;
+  GroupByIngest(IntKeys(in->group_keys, &scratch), n, nullptr, ctx.base_rows,
+                &gids, &result->group_keys.i64, &m->morsels);
+  FoldGroups(AggFold{node.agg_fn}, gids.data(), n,
+             result->group_keys.i64.size(),
+             [&](uint64_t i) { return in->agg_vals[i]; },
+             in->agg_counts.empty() ? nullptr : in->agg_counts.data(), result);
   m->tuples_out = result->agg_vals.size();
   m->bytes_in = n * 24;
   m->bytes_out = m->tuples_out * 24;
@@ -1211,8 +1178,8 @@ Status Evaluator::ExecSort(const PlanNode& node, const ExecContext& ctx,
         node.kind == OpKind::kTopN && node.limit > 0 && node.limit < n
             ? node.limit
             : 0;
-    SortPerm(keys, n, node.descending, limit, Fleet(),
-             MorselRowsForNode(node.id), perm, &m->morsels);
+    SortPerm(keys, n, node.descending, limit, fleet_.get(),
+             ctx.MorselRows(node.id), perm, &m->morsels);
   };
   auto keys_of = [](const ValueVec& v) {
     return v.is_f64() ? SortKeys{v.f64.data(), nullptr}

@@ -6,23 +6,29 @@
 // converts the metrics gathered here into the paper machine's time, and the
 // evaluator's own wall clock is hardware truth.
 //
-// One thread fleet, the MorselScheduler, carries all real parallelism. A plan
-// containing an exchange union runs one dataflow level at a time (a level is
-// the nodes whose longest input path from a leaf has the same length), each
+// One thread fleet, the MorselScheduler, carries all real parallelism; it is
+// handed to the evaluator when the evaluator is built. A plan containing an
+// exchange union runs one dataflow level at a time (a level is the nodes
+// whose longest input path from a leaf has the same length), each
 // multi-node level as one fleet job, so exchange clones run concurrently.
 // Within a node, every operator has one routine. Selects, fetch-join gathers
 // and join probes run one span kernel from exec/kernels.h: per morsel on the
 // fleet when the input splits, once inline over the whole input otherwise.
 // Group-by ingest (exec/agg/GroupByIngest) and sort (exec/sort/SortPerm)
 // take the fleet and the node's morsel size the same way and run inline
-// when there is no fleet or the input fits one morsel. Grouped aggregation
-// is one sequential fold, so every group sums its rows in input order.
-// Plans without a union, and evaluators without a fleet, run their nodes
-// inline in topological order.
+// when there is no fleet or the input fits one morsel. One fold defines
+// every aggregate function: grouped aggregation folds rows in input order,
+// so every group sums its rows in that order, and an aggr-merge folds its
+// clones' partials the same way. Plans without a union, and evaluators
+// without a fleet, run their nodes inline in topological order.
 //
-// The row-at-a-time reference for select, fetch-join, group-by and sort
-// lives with the tests (tests/reference_ops.h), which recompute every such
-// node of an EvalResult from its own inputs.
+// The evaluator keeps only what outlives a query (options, fleet, hash
+// cache); what one Execute call needs, per-node morsel sizes included,
+// travels with the call.
+//
+// The row-at-a-time reference for select, fetch-join, group-by, sort,
+// aggregation and aggr-merge lives with the tests (tests/reference_ops.h),
+// which recompute every such node of an EvalResult from its own inputs.
 #ifndef APQ_EXEC_EVALUATOR_H_
 #define APQ_EXEC_EVALUATOR_H_
 
@@ -67,32 +73,24 @@ struct OpMetrics {
 
 /// \brief Result of interpreting a plan.
 struct EvalResult {
-  /// Intermediates of reachable nodes, indexed by node id.
+  /// Intermediates of reachable nodes, indexed by node id; the result
+  /// node's is `result`.
   std::unordered_map<int, Intermediate> intermediates;
   /// Per-node workload metrics, in topological order of execution
   /// (deterministic: identical for serial and threaded execution).
   std::vector<OpMetrics> metrics;
-  /// The intermediate feeding the result node.
+  /// The query result: what the result node's input produced.
   Intermediate result;
   /// Wall-clock nanoseconds the evaluator spent executing the plan.
   double wall_ns = 0;
 };
 
-/// \brief Execution backend configuration.
+/// \brief Execution backend configuration (the fleet is a constructor
+/// argument of Evaluator, not an option).
 struct ExecOptions {
-  /// Give this evaluator a thread fleet (sched/morsel_scheduler.h): operator
-  /// inputs split into fixed-size morsels run as fleet tasks and are
-  /// concatenated in morsel order — bit-identical to whole-column execution —
-  /// and the clone levels of exchange-parallelized plans run concurrently.
-  /// An injected scheduler (set_morsel_scheduler) or the APQ_FORCE_MORSELS
-  /// environment variable turns this on too.
-  bool use_morsels = false;
-  /// Rows per morsel (0 = kDefaultMorselRows).
+  /// Rows per morsel on a fleet (0 = kDefaultMorselRows). Morsel outputs
+  /// concatenate in morsel order, bit-identical to whole-column execution.
   uint64_t morsel_rows = kDefaultMorselRows;
-  /// Workers of a lazily created morsel scheduler (0 = one per hardware
-  /// thread). Ignored when a shared scheduler is injected via
-  /// set_morsel_scheduler (the multi-query configuration).
-  int morsel_workers = 0;
   /// SIMD dispatch tier for the vectorized kernels: kAuto resolves to the
   /// best level the CPU supports (cpuid probe), lower levels pin the tier
   /// (for differential testing). The APQ_SIMD environment variable
@@ -109,23 +107,32 @@ struct ExecOptions {
 /// the first registration (one build = one info series).
 void RegisterBuildInfo(simd::SimdLevel level);
 
+/// Per-node morsel sizes for one Execute call, keyed by plan node id: the
+/// adaptive loop's response to the morsel skew of its previous run. A node
+/// without an entry, or with 0, runs at EffectiveMorselRows().
+using MorselRowsByNode = std::unordered_map<int, uint64_t>;
+
 /// \brief Interprets plans operator-at-a-time (like MonetDB's MAL
 /// interpreter). Hash indexes for join inners are cached across operators and
 /// across repeated invocations of the same Evaluator, mirroring BAT hash
 /// caching; the cache is thread-safe so parallel join clones share one build.
 class Evaluator {
  public:
-  Evaluator() = default;
-  explicit Evaluator(ExecOptions options) { set_options(options); }
+  /// `fleet` runs this evaluator's morsels and clone levels; sharing one
+  /// lets concurrent queries multiplex one worker fleet. Without one every
+  /// node runs inline, unless APQ_FORCE_MORSELS makes the evaluator its own
+  /// fleet of one worker per hardware thread.
+  explicit Evaluator(ExecOptions options = ExecOptions(),
+                     std::shared_ptr<MorselScheduler> fleet = nullptr)
+      : fleet_(fleet != nullptr || ForcedEnvMorselRows() == 0
+                   ? std::move(fleet)
+                   : std::make_shared<MorselScheduler>()) {
+    set_options(options);
+  }
+  /// Returns the bytes of the cached hash indexes to apq_hash_cache_bytes.
+  ~Evaluator();
 
   void set_options(ExecOptions options) {
-    // A lazily created scheduler is rebuilt at the new worker count; an
-    // injected (shared) scheduler is never dropped by an options change.
-    if (options_.morsel_workers != options.morsel_workers &&
-        morsel_sched_owned_) {
-      morsel_sched_.reset();
-      morsel_sched_owned_ = false;
-    }
     options_ = options;
     // Resolved once per options change, not per kernel call: env override >
     // requested level > cpuid probe. Scalar tier = all-null table = the
@@ -143,26 +150,16 @@ class Evaluator {
   }
   const ExecOptions& options() const { return options_; }
 
-  /// Executes `plan`; on success fills `out`.
-  Status Execute(const QueryPlan& plan, EvalResult* out);
+  /// Executes `plan`; on success fills `out`. `node_rows` sets the morsel
+  /// size of the nodes it names for this call only; node ids refer to
+  /// `plan`, so a mutated plan's fresh clones get no stale sizes.
+  Status Execute(const QueryPlan& plan, EvalResult* out,
+                 const MorselRowsByNode& node_rows = {});
 
-  /// Injects a (possibly shared) morsel scheduler. Concurrent queries that
-  /// share one scheduler multiplex one worker fleet instead of spawning a
-  /// pool per query; Engine wires its scheduler through here.
-  void set_morsel_scheduler(std::shared_ptr<MorselScheduler> sched) {
-    morsel_sched_ = std::move(sched);
-    morsel_sched_owned_ = false;
-  }
+  /// The thread fleet, fixed at construction; null when nodes run inline.
   const std::shared_ptr<MorselScheduler>& morsel_scheduler() const {
-    return morsel_sched_;
+    return fleet_;
   }
-  /// Returns the morsel scheduler, creating one (options().morsel_workers
-  /// workers) if none was injected.
-  const std::shared_ptr<MorselScheduler>& EnsureMorselScheduler();
-
-  /// True when this evaluator has a thread fleet: use_morsels, an injected
-  /// scheduler, or the APQ_FORCE_MORSELS environment override.
-  bool MorselsEnabled() const;
 
   /// Rows per morsel actually used: options().morsel_rows, unless
   /// APQ_FORCE_MORSELS carries an explicit row count (e.g. =4096).
@@ -175,45 +172,45 @@ class Evaluator {
   static uint64_t ForcedEnvMorselRows();
 
   /// The SIMD dispatch table this evaluator's kernels run with (after the
-  /// APQ_SIMD override and cpuid clamping). Never null once options are set.
+  /// APQ_SIMD override and cpuid clamping). Never null.
   const simd::SimdOps* simd_ops() const { return simd_ops_; }
 
-  /// Rows per morsel for one specific plan node: the adaptive override when
-  /// one was injected, otherwise EffectiveMorselRows().
-  uint64_t MorselRowsForNode(int node_id) const;
-
-  /// Injects per-node morsel-size overrides for subsequent Execute() calls
-  /// (the adaptive executor's runtime response to observed morsel skew).
-  /// Replaces any previous hints; must not be called concurrently with an
-  /// Execute(). Node ids refer to the next plan to be executed — mutated
-  /// clones get fresh ids and therefore no stale hints.
-  void SetAdaptiveMorselRows(std::unordered_map<int, uint64_t> rows_by_node) {
-    adaptive_rows_ = std::move(rows_by_node);
-  }
-  const std::unordered_map<int, uint64_t>& adaptive_morsel_rows() const {
-    return adaptive_rows_;
-  }
-
  private:
-  /// Read view over per-node result slots during one execution. A node id is
-  /// readable iff done[id] is set, which RunNodes guarantees for every input
-  /// before a node runs.
+  /// (inner column, keys) of every hash build one Execute call made.
+  using HashBuildLog = std::vector<std::pair<const Column*, uint64_t>>;
+
+  /// One Execute call's state, read by every node it runs. A node id's slot
+  /// is readable iff done[id] is set, which RunNodes guarantees for every
+  /// input before a node runs.
   struct ExecContext {
     const std::vector<Intermediate>* slots = nullptr;
     const std::vector<uint8_t>* done = nullptr;
+    const MorselRowsByNode* node_rows = nullptr;
+    uint64_t base_rows = 0;  // EffectiveMorselRows() when the call began
+    /// The hash builds this call made; appended under hash_mu_.
+    HashBuildLog* hash_builds = nullptr;
+
+    /// Rows per morsel for `node_id`: its node_rows entry, else base_rows.
+    uint64_t MorselRows(int node_id) const {
+      if (!node_rows->empty()) {
+        auto it = node_rows->find(node_id);
+        if (it != node_rows->end() && it->second > 0) return it->second;
+      }
+      return base_rows;
+    }
   };
 
-  /// Runs the nodes of `order` (topological) into their slots: inline in
-  /// order, or — for a plan with an exchange union on an evaluator with a
-  /// fleet — one dataflow level at a time, each multi-node level as one
-  /// fleet job. Sets done[id] for every node that succeeded. Levels stop at
-  /// the first one with a failure and return the error of its lowest
-  /// topological node: deterministic, but with failures on two levels not
-  /// always the error inline execution stops at (clone chains interleave in
-  /// topological order).
+  /// Runs the nodes of `order` (topological) into their slots, which ctx
+  /// views: inline in order, or — for a plan with an exchange union on an
+  /// evaluator with a fleet — one dataflow level at a time, each multi-node
+  /// level as one fleet job. Sets done[id] for every node that succeeded.
+  /// Levels stop at the first one with a failure and return the error of
+  /// its lowest topological node: deterministic, but with failures on two
+  /// levels not always the error inline execution stops at (clone chains
+  /// interleave in topological order).
   Status RunNodes(const QueryPlan& plan, const std::vector<int>& order,
-                  std::vector<Intermediate>* slots, std::vector<uint8_t>* done,
-                  std::vector<OpMetrics>* metrics);
+                  const ExecContext& ctx, std::vector<Intermediate>* slots,
+                  std::vector<uint8_t>* done, std::vector<OpMetrics>* metrics);
 
   Status ExecNode(const QueryPlan& plan, const PlanNode& node,
                   const ExecContext& ctx, Intermediate* result, OpMetrics* m);
@@ -240,22 +237,16 @@ class Evaluator {
   Status ExecSort(const PlanNode& node, const ExecContext& ctx,
                   Intermediate* result, OpMetrics* m);
 
-  /// The fleet morsel tasks run on: the (created on first use) scheduler
-  /// when MorselsEnabled(), else null — every operator routine then runs
-  /// once inline over the whole input.
-  MorselScheduler* Fleet();
-
-  std::shared_ptr<HashIndex> GetOrBuildHash(const Column& column);
+  /// The cached index over `column`, built on first use; a build is logged
+  /// in ctx.hash_builds.
+  std::shared_ptr<HashIndex> GetOrBuildHash(const Column& column,
+                                            const ExecContext& ctx);
 
   ExecOptions options_;
-  /// Active SIMD dispatch table (see set_options). The default matches the
-  /// default ExecOptions: auto-resolved.
-  const simd::SimdOps* simd_ops_ = &simd::Resolve(simd::SimdLevel::kAuto);
-  std::shared_ptr<MorselScheduler> morsel_sched_;  // injected or lazy
-  bool morsel_sched_owned_ = false;   // true iff lazily created (not injected)
-  /// Per-node morsel-size overrides for the next Execute (adaptive skew
-  /// response); read-only during execution.
-  std::unordered_map<int, uint64_t> adaptive_rows_;
+  /// Active SIMD dispatch table (see set_options).
+  const simd::SimdOps* simd_ops_ = nullptr;
+  /// Null runs every operator routine once inline over the whole input.
+  const std::shared_ptr<MorselScheduler> fleet_;
 
   /// One cache entry per join-inner column. The per-entry once_flag is the
   /// build latch: concurrent first builds of *different* inners proceed in
@@ -266,13 +257,9 @@ class Evaluator {
     std::shared_ptr<HashIndex> index;
   };
 
-  std::mutex hash_mu_;  // guards hash_cache_ (the map) and hash_builds_
+  /// Guards hash_cache_ (the map) and the build logs of running calls.
+  std::mutex hash_mu_;
   std::unordered_map<const Column*, std::shared_ptr<HashSlot>> hash_cache_;
-  /// Hash builds performed during the current Execute. Build cost is
-  /// attributed after the run to the topologically-first join over the built
-  /// column, so hash_build_rows in the metrics is identical for serial and
-  /// threaded execution (under threads, any clone may race to build first).
-  std::vector<std::pair<const Column*, uint64_t>> hash_builds_;
 };
 
 }  // namespace apq

@@ -209,7 +209,6 @@ void QueryService::ExecutorLoop() {
   // One engine per executor, all multiplexing the one shared fleet. The sim
   // config is irrelevant to served queries; wall_ns is hardware truth.
   EngineConfig cfg;
-  cfg.use_morsels = true;
   cfg.morsel_scheduler = scheduler_;
   if (config_.morsel_rows > 0) cfg.morsel_rows = config_.morsel_rows;
   Engine engine(cfg);

@@ -403,10 +403,8 @@ TEST_F(EvaluatorTest, LeafGroupByOverFloatColumnIsInvalidWithAFleet) {
   int g = b.GroupByLeaf(floats_.get());
   QueryPlan plan = b.Result(g);
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 2;
-  o.morsel_workers = 2;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(2));
   EvalResult er;
   EXPECT_EQ(eval.Execute(plan, &er).code(), StatusCode::kInvalidArgument);
 }
@@ -436,10 +434,8 @@ void ExpectTruncatedGroups(const QueryPlan& plan,
                            const std::vector<double>& counts) {
   for (bool fleet : {false, true}) {
     ExecOptions o;
-    o.use_morsels = fleet;
     o.morsel_rows = 2;
-    o.morsel_workers = 2;
-    Evaluator eval(o);
+    Evaluator eval(o, fleet ? std::make_shared<MorselScheduler>(2) : nullptr);
     EvalResult er;
     ASSERT_TRUE(eval.Execute(plan, &er).ok()) << "fleet=" << fleet;
     const Intermediate& r = er.result;
@@ -450,7 +446,8 @@ void ExpectTruncatedGroups(const QueryPlan& plan,
     size_t checked = 0;
     EXPECT_EQ(ref::CheckAgainstReference(plan, er, &checked), "")
         << "fleet=" << fleet;
-    EXPECT_EQ(checked, 3u) << "fleet=" << fleet;  // select, fetch, group-by
+    // select, fetch, group-by, count
+    EXPECT_EQ(checked, 4u) << "fleet=" << fleet;
   }
 }
 

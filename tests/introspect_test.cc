@@ -537,7 +537,9 @@ TEST_F(IntrospectEngineTest, AdaptiveLineageMatchesOutcomeExactly) {
     EXPECT_DOUBLE_EQ(l.time_ns, o.runs[i].time_ns);
     EXPECT_DOUBLE_EQ(l.wall_ns, o.runs[i].wall_ns);
     EXPECT_EQ(l.skew_hint_ops, o.runs[i].skew_hint_ops);
-    if (!o.runs[i].mutation.empty()) EXPECT_EQ(l.action, o.runs[i].mutation);
+    if (!o.runs[i].mutation.empty()) {
+      EXPECT_EQ(l.action, o.runs[i].mutation);
+    }
     if (l.action != "none") {
       ++mutated;
       EXPECT_GE(l.victim, 0);

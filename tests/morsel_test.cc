@@ -231,10 +231,8 @@ class MorselDifferentialTest : public ::testing::Test {
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_morsels = true;
         o.morsel_rows = rows;
-        o.morsel_workers = workers;
-        Evaluator morsel(o);
+        Evaluator morsel(o, std::make_shared<MorselScheduler>(workers));
         EvalResult got;
         ASSERT_TRUE(morsel.Execute(plan, &got).ok())
             << "rows=" << rows << " workers=" << workers;
@@ -294,10 +292,8 @@ TEST_F(MorselDifferentialTest, LikePredicateOverDictionary) {
 TEST_F(MorselDifferentialTest, PerMorselTupleCountsSumToOperatorCounts) {
   QueryPlan plan = Pipeline(499, 0.5);
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   EvalResult er;
   ASSERT_TRUE(eval.Execute(plan, &er).ok());
   int morselized_ops = 0;
@@ -339,10 +335,8 @@ TEST_F(MorselDifferentialTest, StrictMisalignmentReportsSameErrorAsSerial) {
 
   for (uint64_t rows : kMorselSizes) {
     ExecOptions o;
-    o.use_morsels = true;
     o.morsel_rows = rows;
-    o.morsel_workers = 4;
-    Evaluator morsel(o);
+    Evaluator morsel(o, std::make_shared<MorselScheduler>(4));
     EvalResult er2;
     Status st = morsel.Execute(plan, &er2);
     ASSERT_FALSE(st.ok()) << "rows=" << rows;
@@ -385,9 +379,7 @@ TEST(MorselSpeedupTest, MorselsBeatWholeColumnOnMulticore) {
   };
   Evaluator whole;  // kernels, whole-column
   ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = 4;
-  Evaluator morsel(o);
+  Evaluator morsel(o, std::make_shared<MorselScheduler>(4));
   const double whole_ns = best_of(whole);
   const double morsel_ns = best_of(morsel);
   EXPECT_LT(morsel_ns, whole_ns)
@@ -407,11 +399,8 @@ TEST(MorselSharingTest, EvaluatorsShareInjectedScheduler) {
   QueryPlan plan = b.Result(s);
 
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  Evaluator e1(o), e2(o);
-  e1.set_morsel_scheduler(sched);
-  e2.set_morsel_scheduler(sched);
+  Evaluator e1(o, sched), e2(o, sched);
 
   const uint64_t before = sched->total_tasks();
   std::thread t1([&] {

@@ -370,10 +370,8 @@ TEST(SchedulerMetricsTest, EvaluatorMorselRunFeedsTheCounters) {
 
   for (int workers : {1, 2, 4, 8}) {
     ExecOptions o;
-    o.use_morsels = true;
     o.morsel_rows = 512;
-    o.morsel_workers = workers;
-    Evaluator ev(o);
+    Evaluator ev(o, std::make_shared<MorselScheduler>(workers));
     EvalResult er;
     ASSERT_TRUE(ev.Execute(plan.ValueOrDie(), &er).ok());
 
@@ -414,20 +412,18 @@ TEST(TraceDeterminismTest, TpchSuiteBitIdenticalTracingOnAndOff) {
 
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 512;
-      o.morsel_workers = workers;
 
       // Tracing OFF.
       obs::SetTraceEnabled(false);
-      Evaluator off_ev(o);
+      Evaluator off_ev(o, std::make_shared<MorselScheduler>(workers));
       EvalResult off;
       ASSERT_TRUE(off_ev.Execute(plan.ValueOrDie(), &off).ok())
           << name << " workers=" << workers;
 
       // Tracing ON (spans + sampled morsel spans + steal events recording).
       obs::SetTraceEnabled(true);
-      Evaluator on_ev(o);
+      Evaluator on_ev(o, std::make_shared<MorselScheduler>(workers));
       EvalResult on;
       ASSERT_TRUE(on_ev.Execute(plan.ValueOrDie(), &on).ok())
           << name << " workers=" << workers;

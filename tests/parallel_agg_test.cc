@@ -192,8 +192,11 @@ class ParallelAggEvalTest : public ::testing::Test {
     return b.Result(j);
   }
 
-  static EvalResult Run(const QueryPlan& plan, ExecOptions o) {
-    Evaluator eval(o);
+  // Runs `plan` on a new evaluator: inline, or on a fleet of `workers`.
+  static EvalResult Run(const QueryPlan& plan, ExecOptions o,
+                        int workers = 0) {
+    Evaluator eval(o, workers > 0 ? std::make_shared<MorselScheduler>(workers)
+                                  : nullptr);
     EvalResult er;
     EXPECT_TRUE(eval.Execute(plan, &er).ok());
     return er;
@@ -211,10 +214,8 @@ class ParallelAggEvalTest : public ::testing::Test {
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_morsels = true;
         o.morsel_rows = rows;
-        o.morsel_workers = workers;
-        EvalResult got = Run(plan, o);
+        EvalResult got = Run(plan, o, workers);
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
             << "rows=" << rows << " workers=" << workers;
         EXPECT_EQ(ref::CheckAgainstReference(plan, got), "")
@@ -327,10 +328,8 @@ TEST_F(ParallelAggEvalTest, SlicedProbeClipsIdenticallyToSequential) {
 
 TEST_F(ParallelAggEvalTest, PerMorselCountsSumToOperatorTotals) {
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   EvalResult er;
   ASSERT_TRUE(eval.Execute(GroupAggPlan(AggFn::kSum, /*hi=*/499), &er).ok());
   EvalResult jr;
@@ -363,10 +362,8 @@ TEST_F(ParallelAggEvalTest, PerMorselCountsSumToOperatorTotals) {
 
 TEST_F(ParallelAggEvalTest, DeterministicAcrossRepeatedRuns) {
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   QueryPlan plan = GroupAggPlan(AggFn::kAvg);
   EvalResult first;
   ASSERT_TRUE(eval.Execute(plan, &first).ok());
@@ -416,9 +413,7 @@ TEST(ParallelAggSpeedupTest, ParallelGroupByBeatsSequentialOnMulticore) {
   };
   Evaluator whole;  // kernels, whole-column ingest
   ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = 4;
-  Evaluator par(o);
+  Evaluator par(o, std::make_shared<MorselScheduler>(4));
   EXPECT_LT(best_of(par), best_of(whole))
       << "morsel-parallel group-by ingest should beat the sequential loop "
          "on >= 4 cores";

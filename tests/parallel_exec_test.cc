@@ -14,6 +14,7 @@
 #include "exec/evaluator.h"
 #include "heuristic/parallelizer.h"
 #include "plan/builder.h"
+#include "reference_ops.h"
 #include "workload/tpch.h"
 
 namespace apq {
@@ -47,11 +48,8 @@ std::string BitDiff(const Intermediate& a, const Intermediate& b) {
   return "";
 }
 
-ExecOptions FleetOptions(int workers) {
-  ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = workers;
-  return o;
+std::shared_ptr<MorselScheduler> Fleet(int workers) {
+  return std::make_shared<MorselScheduler>(workers);
 }
 
 class ParallelExecTest : public ::testing::Test {
@@ -70,7 +68,7 @@ class ParallelExecTest : public ::testing::Test {
     EvalResult a;
     ASSERT_TRUE(serial.Execute(plan, &a).ok());
     for (int workers : {1, 2, 4, 8}) {
-      Evaluator threaded(FleetOptions(workers));
+      Evaluator threaded(ExecOptions(), Fleet(workers));
       EvalResult b;
       ASSERT_TRUE(threaded.Execute(plan, &b).ok()) << workers;
       EXPECT_EQ(BitDiff(a.result, b.result), "") << workers;
@@ -110,6 +108,39 @@ TEST_F(ParallelExecTest, HeuristicPlansReproduceSerialResults) {
   }
 }
 
+TEST_F(ParallelExecTest, HeuristicPlansMatchTheReferenceNodeByNode) {
+  // Every referenced node of the seven queries' heuristic plans, recomputed
+  // from its own inputs: the clones' partial aggregates and the aggr-merges
+  // that recombine them included. Inline, and on fleets whose morsels split
+  // every scan.
+  size_t aggregates = 0, merges = 0;
+  ExecOptions o;
+  o.morsel_rows = 512;
+  for (const auto& name : Tpch::QueryNames()) {
+    auto serial_plan = Tpch::Query(*cat_, name);
+    ASSERT_TRUE(serial_plan.ok()) << name;
+    for (int dop : {2, 4, 8, 32}) {
+      HeuristicParallelizer hp(HeuristicConfig{.dop = dop});
+      auto plan = hp.Parallelize(serial_plan.ValueOrDie());
+      ASSERT_TRUE(plan.ok()) << name;
+      for (int workers : {0, 1, 4}) {
+        Evaluator eval(o, workers > 0 ? Fleet(workers) : nullptr);
+        EvalResult er;
+        ASSERT_TRUE(eval.Execute(plan.ValueOrDie(), &er).ok())
+            << name << " dop " << dop << " workers " << workers;
+        EXPECT_EQ(ref::CheckAgainstReference(plan.ValueOrDie(), er), "")
+            << name << " dop " << dop << " workers " << workers;
+        for (const OpMetrics& m : er.metrics) {
+          aggregates += m.kind == OpKind::kAggregate;
+          merges += m.kind == OpKind::kAggrMerge;
+        }
+      }
+    }
+  }
+  EXPECT_GT(aggregates, 0u);
+  EXPECT_GT(merges, 0u);
+}
+
 TEST_F(ParallelExecTest, MutatedExchangePlanReproducesSerialResult) {
   auto q6 = Tpch::Q6(*cat_);
   ASSERT_TRUE(q6.ok());
@@ -133,7 +164,7 @@ TEST_F(ParallelExecTest, ThreadedExecutionIsDeterministicAcrossRuns) {
   HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
   auto plan = hp.Parallelize(q14.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-  Evaluator threaded(FleetOptions(4));
+  Evaluator threaded(ExecOptions(), Fleet(4));
   EvalResult first;
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &first).ok());
   for (int rep = 0; rep < 5; ++rep) {
@@ -154,9 +185,8 @@ TEST_F(ParallelExecTest, ErrorsPropagateFromWorkerThreads) {
   int sel = b.Select(ints.get(), Predicate::Like("x"));  // LIKE on non-string
   QueryPlan plan = b.Result(sel);
   ASSERT_TRUE(mutator.SplitNode(&plan, sel, 2).ok());
-  Evaluator threaded(FleetOptions(4));
-  const std::shared_ptr<MorselScheduler>& fleet =
-      threaded.EnsureMorselScheduler();
+  Evaluator threaded(ExecOptions(), Fleet(4));
+  const std::shared_ptr<MorselScheduler>& fleet = threaded.morsel_scheduler();
   uint64_t before = fleet->total_tasks();
   EvalResult er;
   Status st = threaded.Execute(plan, &er);
@@ -204,7 +234,7 @@ TEST_F(ParallelExecTest, FailingClonesReturnTheSameErrorEveryRun) {
   const Status want = serial.Execute(plan, &er);
   ASSERT_EQ(want.code(), StatusCode::kMisaligned);
   for (int workers : {1, 4}) {
-    Evaluator threaded(FleetOptions(workers));
+    Evaluator threaded(ExecOptions(), Fleet(workers));
     for (int rep = 0; rep < 10; ++rep) {
       const Status st = threaded.Execute(plan, &er);
       EXPECT_EQ(st.code(), want.code()) << workers << " rep " << rep;
@@ -256,11 +286,11 @@ TEST_F(ParallelExecTest, FailuresOnTwoLevelsReturnTheFirstFailingLevel) {
   const Status inline_st = serial.Execute(plan, &er);
   // APQ_FORCE_MORSELS gives even a default evaluator a fleet, and then it
   // runs the levels too.
-  if (!serial.MorselsEnabled()) {
+  if (serial.morsel_scheduler() == nullptr) {
     EXPECT_EQ(inline_st.code(), StatusCode::kMisaligned);
   }
   for (int workers : {1, 4}) {
-    Evaluator threaded(FleetOptions(workers));
+    Evaluator threaded(ExecOptions(), Fleet(workers));
     for (int rep = 0; rep < 5; ++rep) {
       EXPECT_EQ(threaded.Execute(plan, &er).code(),
                 StatusCode::kInvalidArgument)
@@ -279,10 +309,10 @@ TEST_F(ParallelExecTest, OnlyPlansWithAnExchangeUnionRunNodesOnTheFleet) {
   auto parallel = hp.Parallelize(q9.ValueOrDie());
   ASSERT_TRUE(parallel.ok());
 
-  ExecOptions o = FleetOptions(4);
+  ExecOptions o;
   o.morsel_rows = uint64_t{1} << 20;  // far above any operator's input
-  Evaluator eval(o);
-  const std::shared_ptr<MorselScheduler>& fleet = eval.EnsureMorselScheduler();
+  Evaluator eval(o, Fleet(4));
+  const std::shared_ptr<MorselScheduler>& fleet = eval.morsel_scheduler();
   EvalResult er;
   uint64_t before = fleet->total_tasks();
   ASSERT_TRUE(eval.Execute(q9.ValueOrDie(), &er).ok());
@@ -302,7 +332,7 @@ TEST_F(ParallelExecTest, SharedHashCacheBuildsOnce) {
   HeuristicParallelizer hp(HeuristicConfig{.dop = 8});
   auto plan = hp.Parallelize(q9.ValueOrDie());
   ASSERT_TRUE(plan.ok());
-  Evaluator threaded(FleetOptions(4));
+  Evaluator threaded(ExecOptions(), Fleet(4));
   EvalResult er1, er2;
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er1).ok());
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er2).ok());
@@ -327,10 +357,8 @@ TEST_F(ParallelExecTest, MorselExecutionIsDeterministicAcrossWorkerCounts) {
     ASSERT_TRUE(whole.Execute(plan.ValueOrDie(), &base).ok()) << name;
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 512;  // lineitem_rows = 6000: every dense scan splits
-      o.morsel_workers = workers;
-      Evaluator morsel(o);
+      Evaluator morsel(o, Fleet(workers));
       EvalResult got;
       ASSERT_TRUE(morsel.Execute(plan.ValueOrDie(), &got).ok())
           << name << " workers=" << workers;
@@ -358,9 +386,9 @@ TEST_F(ParallelExecTest, MorselsComposeWithCloneLevels) {
   EvalResult base;
   ASSERT_TRUE(serial.Execute(plan.ValueOrDie(), &base).ok());
 
-  ExecOptions o = FleetOptions(4);
+  ExecOptions o;
   o.morsel_rows = 256;
-  Evaluator both(o);
+  Evaluator both(o, Fleet(4));
   for (int rep = 0; rep < 3; ++rep) {
     EvalResult got;
     ASSERT_TRUE(both.Execute(plan.ValueOrDie(), &got).ok()) << rep;
@@ -382,11 +410,8 @@ TEST_F(ParallelExecTest, ConcurrentQueriesMultiplexOneScheduler) {
   ASSERT_TRUE(whole.Execute(q14.ValueOrDie(), &base14).ok());
 
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  Evaluator e6(o), e14(o);
-  e6.set_morsel_scheduler(sched);
-  e14.set_morsel_scheduler(sched);
+  Evaluator e6(o, sched), e14(o, sched);
 
   std::thread t6([&] {
     for (int rep = 0; rep < 4; ++rep) {
@@ -431,7 +456,7 @@ TEST_F(ParallelExecTest, ConcurrentFirstBuildsOfDifferentInnersDontSerialize) {
   auto plan = hp.Parallelize(b.Result(sum));
   ASSERT_TRUE(plan.ok());
 
-  Evaluator threaded(FleetOptions(4));
+  Evaluator threaded(ExecOptions(), Fleet(4));
   EvalResult er;
   ASSERT_TRUE(threaded.Execute(plan.ValueOrDie(), &er).ok());
   EXPECT_DOUBLE_EQ(er.result.scalar, 8000.0);
@@ -460,10 +485,8 @@ TEST_F(ParallelExecTest, ParallelAggProbeCoversTpchAcrossWorkerCounts) {
     ASSERT_TRUE(whole.Execute(plan.ValueOrDie(), &base).ok()) << name;
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 256;
-      o.morsel_workers = workers;
-      Evaluator par(o);
+      Evaluator par(o, Fleet(workers));
       EvalResult got;
       ASSERT_TRUE(par.Execute(plan.ValueOrDie(), &got).ok())
           << name << " workers=" << workers;
@@ -498,9 +521,9 @@ TEST_F(ParallelExecTest, ParallelAggComposesWithCloneLevels) {
     EvalResult base;
     ASSERT_TRUE(serial.Execute(plan.ValueOrDie(), &base).ok()) << name;
 
-    ExecOptions o = FleetOptions(4);
+    ExecOptions o;
     o.morsel_rows = 256;
-    Evaluator both(o);
+    Evaluator both(o, Fleet(4));
     for (int rep = 0; rep < 3; ++rep) {
       EvalResult got;
       ASSERT_TRUE(both.Execute(plan.ValueOrDie(), &got).ok())
@@ -526,10 +549,8 @@ TEST_F(ParallelExecTest, ParallelSortCoversOrderedTpchQueries) {
     ASSERT_TRUE(whole.Execute(plan.ValueOrDie(), &base).ok()) << name;
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 4;  // splits even the 5-priority / 25-nation sorts
-      o.morsel_workers = workers;
-      Evaluator par(o);
+      Evaluator par(o, Fleet(workers));
       EvalResult got;
       ASSERT_TRUE(par.Execute(plan.ValueOrDie(), &got).ok())
           << name << " workers=" << workers;
@@ -550,7 +571,6 @@ TEST_F(ParallelExecTest, ParallelSortCoversOrderedTpchQueries) {
   // APQ_FORCE_MORSELS overrides the 4-row morsel size; the tiny grouped
   // sorts only split when the override is absent (or just as small).
   ExecOptions probe_o;
-  probe_o.use_morsels = true;
   probe_o.morsel_rows = 4;
   if (Evaluator(probe_o).EffectiveMorselRows() <= 8) {
     EXPECT_TRUE(saw_sort) << "no TPC-H sort ran morsel-parallel";

@@ -340,8 +340,11 @@ class ParallelSortEvalTest : public ::testing::Test {
     return b.Result(srt);
   }
 
-  static EvalResult Run(const QueryPlan& plan, ExecOptions o) {
-    Evaluator eval(o);
+  // Runs `plan` on a new evaluator: inline, or on a fleet of `workers`.
+  static EvalResult Run(const QueryPlan& plan, ExecOptions o,
+                        int workers = 0) {
+    Evaluator eval(o, workers > 0 ? std::make_shared<MorselScheduler>(workers)
+                                  : nullptr);
     EvalResult er;
     EXPECT_TRUE(eval.Execute(plan, &er).ok());
     return er;
@@ -359,10 +362,8 @@ class ParallelSortEvalTest : public ::testing::Test {
     for (uint64_t rows : kMorselSizes) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_morsels = true;
         o.morsel_rows = rows;
-        o.morsel_workers = workers;
-        EvalResult got = Run(plan, o);
+        EvalResult got = Run(plan, o, workers);
         EXPECT_EQ(DiffIntermediates(base.result, got.result), "")
             << "rows=" << rows << " workers=" << workers;
         EXPECT_EQ(ref::CheckAgainstReference(plan, got), "")
@@ -422,10 +423,8 @@ TEST_F(ParallelSortEvalTest, AllEqualKeysPreserveInputOrder) {
   QueryPlan plan = b.Result(srt);
   ExpectParallelMatches(plan);
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 4;
-  EvalResult er = Run(plan, o);
+  EvalResult er = Run(plan, o, 4);
   std::vector<oid> expect(20000);
   std::iota(expect.begin(), expect.end(), oid{0});
   EXPECT_EQ(er.result.head, expect);
@@ -521,10 +520,8 @@ TEST_F(ParallelSortEvalTest, SlicedRowIdSortClipsLikeTheJoinProbe) {
 TEST_F(ParallelSortEvalTest, PerMorselCountsSumToOperatorTotals) {
   for (uint64_t limit : {uint64_t{0}, uint64_t{100}}) {
     ExecOptions o;
-    o.use_morsels = true;
     o.morsel_rows = 1024;
-    o.morsel_workers = 4;
-    Evaluator eval(o);
+    Evaluator eval(o, std::make_shared<MorselScheduler>(4));
     EvalResult er;
     ASSERT_TRUE(
         eval.Execute(ValuesSortPlan(/*descending=*/false, limit), &er).ok());
@@ -560,10 +557,8 @@ TEST_F(ParallelSortEvalTest, SlicedRowIdMorselCountsSumToSortedRows) {
   plan.node(srt).has_slice = true;
   plan.node(srt).slice = RowRange{5000, 21000};
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 1024;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   EvalResult er;
   ASSERT_TRUE(eval.Execute(plan, &er).ok());
   for (const auto& m : er.metrics) {
@@ -581,10 +576,8 @@ TEST_F(ParallelSortEvalTest, SlicedRowIdMorselCountsSumToSortedRows) {
 
 TEST_F(ParallelSortEvalTest, DeterministicAcrossRepeatedRuns) {
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 4;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(4));
   QueryPlan plan = ValuesSortPlan(/*descending=*/true);
   EvalResult first;
   ASSERT_TRUE(eval.Execute(plan, &first).ok());
@@ -629,9 +622,7 @@ TEST(ParallelSortSpeedupTest, ParallelSortBeatsSequentialOnMulticore) {
   };
   Evaluator whole;  // kernels, whole-column stable sort
   ExecOptions o;
-  o.use_morsels = true;
-  o.morsel_workers = 4;
-  Evaluator par(o);
+  Evaluator par(o, std::make_shared<MorselScheduler>(4));
   EXPECT_LT(best_of(par), best_of(whole))
       << "morsel-local runs + parallel k-way merge should beat one "
          "stable_sort on >= 4 cores";

@@ -117,10 +117,8 @@ TEST_F(ProfilerTest, OpReportSurfacesMorselSkewForMorselizedRuns) {
   // numeric skew (>= 1) in the printed report — the satellite requirement:
   // skew visible without reading AdaptiveRun programmatically.
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 2;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(2));
   EvalResult er;
   APQ_CHECK_OK(eval.Execute(plan_, &er));
   auto tasks = BuildSimTasks(plan_, er.metrics, cm_);
@@ -150,10 +148,8 @@ TEST_F(ProfilerTest, OpReportCoversMorselizedSorts) {
   int srt = b.SortLeaf(fcol_.get());
   QueryPlan plan = b.Result(srt);
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 2;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(2));
   EvalResult er;
   APQ_CHECK_OK(eval.Execute(plan, &er));
   auto tasks = BuildSimTasks(plan, er.metrics, cm_);
@@ -208,10 +204,8 @@ TEST_F(ProfilerTest, TupleSkewIsDeterministicAndDomainGated) {
 
 TEST_F(ProfilerTest, OpReportShowsTupleSkewColumn) {
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 2;
-  Evaluator eval(o);
+  Evaluator eval(o, std::make_shared<MorselScheduler>(2));
   EvalResult er;
   APQ_CHECK_OK(eval.Execute(plan_, &er));
   auto tasks = BuildSimTasks(plan_, er.metrics, cm_);

@@ -1,12 +1,14 @@
 // Test-only reference operators: the row-at-a-time select and fetch-join
-// loops, the first-occurrence group-by and the stable-sort permutation. The
-// evaluator runs one routine per operator (kernels, morsels, SIMD tiers);
-// these loops are what that routine must reproduce bit for bit.
+// loops, the first-occurrence group-by, the stable-sort permutation, the
+// per-function aggregate folds and the map-numbered aggr-merge. The
+// evaluator runs one routine per operator (kernels, morsels, SIMD tiers,
+// one fold for every aggregate); these loops are what that routine must
+// reproduce bit for bit.
 //
-// CheckAgainstReference recomputes every select, fetch-join, group-by and
-// sort node of an EvalResult from that node's own inputs (the evaluator's
-// intermediates), and compares the output and the node's tuples_in,
-// tuples_out and random_accesses bit for bit.
+// CheckAgainstReference recomputes every select, fetch-join, group-by,
+// sort, aggregate and aggr-merge node of an EvalResult from that node's own
+// inputs (the evaluator's intermediates), and compares the output and the
+// node's tuples_in, tuples_out and random_accesses bit for bit.
 #ifndef APQ_TESTS_REFERENCE_OPS_H_
 #define APQ_TESTS_REFERENCE_OPS_H_
 
@@ -33,7 +35,8 @@ struct RefOut {
 
 inline bool IsReferenced(OpKind k) {
   return k == OpKind::kSelect || k == OpKind::kFetchJoin ||
-         k == OpKind::kGroupBy || k == OpKind::kSort || k == OpKind::kTopN;
+         k == OpKind::kGroupBy || k == OpKind::kSort || k == OpKind::kTopN ||
+         k == OpKind::kAggregate || k == OpKind::kAggrMerge;
 }
 
 inline ValueVec VecLike(const Column& col) {
@@ -281,8 +284,147 @@ inline Status Sort(const PlanNode& node, const Intermediate* in, RefOut* r) {
   return Status::OK();
 }
 
-/// Runs the reference of `node` (a select, fetch-join, group-by, sort or
-/// top-N) over `inputs`, the intermediates of node.inputs in order.
+/// The starting value of an aggregate accumulator.
+inline double AggInit(AggFn fn) {
+  return fn == AggFn::kMin ? 1e300 : fn == AggFn::kMax ? -1e300 : 0.0;
+}
+
+/// Grouped aggregation folds every row into its group in input order, and
+/// scalar aggregation folds the whole input row by row: no SIMD reduction.
+/// An average divides by its row count at the end.
+inline Status Aggregate(const PlanNode& node,
+                        const std::vector<const Intermediate*>& inputs,
+                        RefOut* r) {
+  const Intermediate& first = *inputs[0];
+  const AggFn fn = node.agg_fn;
+  if (first.kind == Intermediate::Kind::kGroups) {
+    const Intermediate* vals = inputs.size() == 2 ? inputs[1] : nullptr;
+    if (vals != nullptr) {
+      if (vals->kind != Intermediate::Kind::kValues) {
+        return Status::InvalidArgument("grouped aggregate values input invalid");
+      }
+      if (vals->values.size() != first.group_ids.size()) {
+        return Status::Misaligned("grouped aggregate: misaligned values");
+      }
+    } else if (fn != AggFn::kCount) {
+      return Status::InvalidArgument("grouped non-count aggregate needs values");
+    }
+    const size_t ngroups = first.group_keys.size();
+    r->out.kind = Intermediate::Kind::kGroupedAgg;
+    r->out.group_keys = first.group_keys;
+    r->out.agg_counts.assign(ngroups, 0);
+    r->out.agg_vals.assign(ngroups, AggInit(fn));
+    const uint64_t n = first.group_ids.size();
+    for (uint64_t i = 0; i < n; ++i) {
+      const int64_t g = first.group_ids[i];
+      const double v = vals != nullptr ? vals->values.AsDouble(i) : 1.0;
+      double& acc = r->out.agg_vals[g];
+      switch (fn) {
+        case AggFn::kSum:
+        case AggFn::kAvg: acc += v; break;
+        case AggFn::kCount: acc += 1.0; break;
+        case AggFn::kMin: acc = std::min(acc, v); break;
+        case AggFn::kMax: acc = std::max(acc, v); break;
+        case AggFn::kNone: break;
+      }
+      r->out.agg_counts[g] += 1;
+    }
+    if (fn == AggFn::kAvg) {
+      for (size_t g = 0; g < ngroups; ++g) {
+        if (r->out.agg_counts[g] > 0) {
+          r->out.agg_vals[g] /= static_cast<double>(r->out.agg_counts[g]);
+        }
+      }
+    }
+    r->tuples_in = n;
+    r->tuples_out = ngroups;
+    return Status::OK();
+  }
+
+  const bool is_values = first.kind == Intermediate::Kind::kValues;
+  if (!is_values && first.kind != Intermediate::Kind::kRowIds &&
+      first.kind != Intermediate::Kind::kPairs) {
+    return Status::InvalidArgument("scalar aggregate input must be values/rowids");
+  }
+  const uint64_t n = is_values ? first.values.size() : first.rowids.size();
+  double acc = AggInit(fn);
+  if (is_values) {
+    for (uint64_t i = 0; i < n; ++i) {
+      const double v = first.values.AsDouble(i);
+      switch (fn) {
+        case AggFn::kSum:
+        case AggFn::kAvg: acc += v; break;
+        case AggFn::kCount: acc += 1.0; break;
+        case AggFn::kMin: acc = std::min(acc, v); break;
+        case AggFn::kMax: acc = std::max(acc, v); break;
+        case AggFn::kNone: break;
+      }
+    }
+  } else {
+    if (fn != AggFn::kCount) {
+      return Status::InvalidArgument("rowid aggregate supports only count");
+    }
+    acc = static_cast<double>(n);
+  }
+  if (fn == AggFn::kAvg && n > 0) acc /= static_cast<double>(n);
+  r->out.kind = Intermediate::Kind::kScalar;
+  r->out.scalar = acc;
+  r->out.scalar_count = static_cast<int64_t>(n);
+  r->tuples_in = n;
+  r->tuples_out = 1;
+  return Status::OK();
+}
+
+/// Merges grouped partials: slots numbered by a hash map in first-occurrence
+/// order of their keys, each partial (value, count) folded in input order.
+/// Partial averages weigh by their counts; a missing count is 1.
+inline Status AggrMerge(const PlanNode& node, const Intermediate& in,
+                        RefOut* r) {
+  if (in.kind != Intermediate::Kind::kGroupedAgg) {
+    return Status::InvalidArgument("aggrmerge input must be grouped aggregates");
+  }
+  const AggFn fn = node.agg_fn;
+  r->out.kind = Intermediate::Kind::kGroupedAgg;
+  r->out.group_keys.type = in.group_keys.type;
+  r->out.group_keys.dict = in.group_keys.dict;
+  std::unordered_map<int64_t, size_t> slot_of;
+  const uint64_t n = in.agg_vals.size();
+  for (uint64_t i = 0; i < n; ++i) {
+    const int64_t key = in.group_keys.AsInt(i);
+    auto [it, inserted] = slot_of.emplace(key, r->out.agg_vals.size());
+    if (inserted) {
+      r->out.group_keys.i64.push_back(key);
+      r->out.agg_vals.push_back(AggInit(fn));
+      r->out.agg_counts.push_back(0);
+    }
+    double& acc = r->out.agg_vals[it->second];
+    const double v = in.agg_vals[i];
+    const int64_t c = in.agg_counts.empty() ? 1 : in.agg_counts[i];
+    switch (fn) {
+      case AggFn::kSum:
+      case AggFn::kCount: acc += v; break;
+      case AggFn::kAvg: acc += v * static_cast<double>(c); break;
+      case AggFn::kMin: acc = std::min(acc, v); break;
+      case AggFn::kMax: acc = std::max(acc, v); break;
+      case AggFn::kNone: break;
+    }
+    r->out.agg_counts[it->second] += c;
+  }
+  if (fn == AggFn::kAvg) {
+    for (size_t g = 0; g < r->out.agg_vals.size(); ++g) {
+      if (r->out.agg_counts[g] > 0) {
+        r->out.agg_vals[g] /= static_cast<double>(r->out.agg_counts[g]);
+      }
+    }
+  }
+  r->tuples_in = n;
+  r->tuples_out = r->out.agg_vals.size();
+  return Status::OK();
+}
+
+/// Runs the reference of `node` (a select, fetch-join, group-by, sort,
+/// top-N, aggregate or aggr-merge) over `inputs`, the intermediates of
+/// node.inputs in order.
 inline Status ReferenceNode(const PlanNode& node,
                             const std::vector<const Intermediate*>& inputs,
                             RefOut* r) {
@@ -293,6 +435,8 @@ inline Status ReferenceNode(const PlanNode& node,
     case OpKind::kGroupBy: return GroupBy(node, in, r);
     case OpKind::kSort:
     case OpKind::kTopN: return Sort(node, in, r);
+    case OpKind::kAggregate: return Aggregate(node, inputs, r);
+    case OpKind::kAggrMerge: return AggrMerge(node, *in, r);
     default: return Status::Unsupported("no reference for this operator");
   }
 }
@@ -334,8 +478,9 @@ inline std::string DiffBits(const Intermediate& want, const Intermediate& got) {
   return "";
 }
 
-/// Recomputes every select, fetch-join, group-by, sort and top-N node of
-/// `er` (a successful Execute of `plan`) from that node's own inputs in
+/// Recomputes every select, fetch-join, group-by, sort, top-N, aggregate and
+/// aggr-merge node of `er` (a successful Execute of `plan`) from that node's
+/// own inputs in
 /// er.intermediates, and compares its output, tuples_in, tuples_out and
 /// random_accesses bit for bit. Returns "" when all match, else the first
 /// difference. `checked`, when given, receives the number of nodes compared.

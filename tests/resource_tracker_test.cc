@@ -198,10 +198,9 @@ TEST(ResourceTrackerTest, EvaluatorChargesReturnToZeroAcrossWorkerCounts) {
     ASSERT_TRUE(plan.ok()) << qname;
     for (int workers : {0, 1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = workers > 0;
       o.morsel_rows = 512;
-      o.morsel_workers = workers;
-      Evaluator ev(o);
+      Evaluator ev(o, workers > 0 ? std::make_shared<MorselScheduler>(workers)
+                                    : nullptr);
 
       obs::QueryContext query{obs::NextQueryId()};
       EvalResult er;
@@ -257,10 +256,8 @@ TEST(ResourceTrackerTest, GroupByAndSortChargesReturnToZeroInlineAndOnAFleet) {
   const QueryPlan plan = b.Result(s);
   for (bool fleet : {false, true}) {
     ExecOptions o;
-    o.use_morsels = fleet;
     o.morsel_rows = 512;
-    o.morsel_workers = 4;
-    Evaluator ev(o);
+    Evaluator ev(o, fleet ? std::make_shared<MorselScheduler>(4) : nullptr);
     obs::QueryContext query{obs::NextQueryId()};
     EvalResult er;
     {
@@ -287,10 +284,8 @@ TEST(ResourceTrackerTest, CloneLevelsOnTheFleetBillOnlyTheirOperators) {
   ASSERT_TRUE(plan.ok());
 
   ExecOptions o;
-  o.use_morsels = true;
   o.morsel_rows = 512;
-  o.morsel_workers = 4;
-  Evaluator ev(o);
+  Evaluator ev(o, std::make_shared<MorselScheduler>(4));
   for (int rep = 0; rep < 3; ++rep) {
     obs::QueryContext query{obs::NextQueryId()};
     EvalResult er;
@@ -413,6 +408,28 @@ TEST(ResourceTrackerTest, EngineRecordsResourcesAndReturnsEveryCharge) {
   obs::QueryLog::Global().Clear();
 }
 
+// The hash-index cache outlives queries but not its evaluator: the bytes its
+// builds parked in apq_hash_cache_bytes go back when the evaluator dies.
+TEST(ResourceTrackerTest, DestroyedEvaluatorsReturnTheirHashCacheBytes) {
+  TpchConfig cfg;
+  cfg.lineitem_rows = 6000;
+  auto cat = Tpch::Generate(cfg);
+  auto q9 = Tpch::Query(*cat, "Q9");
+  ASSERT_TRUE(q9.ok());
+  obs::Gauge* cache =
+      obs::MetricsRegistry::Global().GetGauge("apq_hash_cache_bytes");
+  const int64_t cache0 = cache->Value();
+  {
+    Evaluator a, b, c;
+    for (Evaluator* ev : {&a, &b, &c}) {
+      EvalResult er;
+      ASSERT_TRUE(ev->Execute(q9.ValueOrDie(), &er).ok());
+    }
+    EXPECT_GT(cache->Value(), cache0) << "Q9 builds no hash index";
+  }
+  EXPECT_EQ(cache->Value(), cache0);
+}
+
 // ---- determinism: accounting must never perturb results ---------------------
 
 // Each query runs whole-column, then on a 1/2/4/8-worker fleet without a
@@ -433,17 +450,15 @@ TEST(ResourceTrackerTest, TpchSuiteBitIdenticalWithAndWithoutAQueryContext) {
 
     for (int workers : {1, 2, 4, 8}) {
       ExecOptions o;
-      o.use_morsels = true;
       o.morsel_rows = 512;
-      o.morsel_workers = workers;
 
-      Evaluator off_ev(o);
+      Evaluator off_ev(o, std::make_shared<MorselScheduler>(workers));
       EvalResult off;
       ASSERT_TRUE(off_ev.Execute(plan.ValueOrDie(), &off).ok())
           << name << " workers=" << workers;
 
       obs::QueryContext query{obs::NextQueryId()};
-      Evaluator on_ev(o);
+      Evaluator on_ev(o, std::make_shared<MorselScheduler>(workers));
       EvalResult on;
       {
         obs::QueryScope scope(&query);

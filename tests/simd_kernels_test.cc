@@ -332,8 +332,9 @@ class SimdEvaluatorTest : public ::testing::Test {
     return b.Result(agg);
   }
 
-  void ExpectSameAs(const EvalResult& want, const ExecOptions& o) {
-    Evaluator e(o);
+  void ExpectSameAs(const EvalResult& want, const ExecOptions& o,
+                    int workers) {
+    Evaluator e(o, std::make_shared<MorselScheduler>(workers));
     EvalResult got;
     ASSERT_TRUE(e.Execute(Workload(), &got).ok());
     EXPECT_EQ(DiffIntermediates(want.result, got.result), "");
@@ -358,14 +359,12 @@ TEST_F(SimdEvaluatorTest, BitIdenticalAcrossTiersMorselsAndWorkers) {
     for (uint64_t morsel_rows : {uint64_t{256}, uint64_t{1024}}) {
       for (int workers : {1, 2, 4, 8}) {
         ExecOptions o;
-        o.use_morsels = true;
         o.morsel_rows = morsel_rows;
-        o.morsel_workers = workers;
         o.simd_level = tier;
         SCOPED_TRACE(std::string("tier=") + simd::LevelName(tier) +
                      " morsel=" + std::to_string(morsel_rows) +
                      " workers=" + std::to_string(workers));
-        ExpectSameAs(want, o);
+        ExpectSameAs(want, o, workers);
       }
     }
   }
