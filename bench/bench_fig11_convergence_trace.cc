@@ -51,7 +51,8 @@ int main() {
   for (const auto& r : o.runs) {
     int bars = static_cast<int>(r.time_ns / maxt * 56);
     std::printf("%4d  %8.3f  %-7s |%s\n", r.run, r.time_ns / 1e6,
-                r.mutation.c_str(), std::string(bars, '#').c_str());
+                o.lineage[r.run].action.c_str(),
+                std::string(bars, '#').c_str());
   }
   std::printf(
       "\nserial %.3f ms -> GME %.3f ms at run %d (%.1fx); total %d runs\n",

@@ -97,6 +97,10 @@ class Conn {
            static_cast<ssize_t>(line.size());
   }
 
+  // Closes the sending side: the server still answers every request sent
+  // before, then closes the session.
+  void CloseSend() { ::shutdown(fd_, SHUT_WR); }
+
   // Reads one END-terminated block; returns its first line.
   std::string ReadHeader() {
     size_t pos;
@@ -143,17 +147,14 @@ PhaseResult RunPhase(int port, const std::string& name, double load,
       if (!conn->ok()) return;
       auto targets = std::make_shared<std::map<uint64_t, double>>();
       auto targets_mu = std::make_shared<std::mutex>();
-      auto sent = std::make_shared<std::atomic<uint64_t>>(0);
-      auto sender_done = std::make_shared<std::atomic<bool>>(false);
 
-      std::thread receiver([&, conn, targets, targets_mu, sent,
-                            sender_done] {
+      // Reads until the server closes the session, which it does once it
+      // has answered everything sent before the sender's CloseSend.
+      std::thread receiver([&, conn, targets, targets_mu] {
         std::vector<double> my_ok, my_shed;
-        uint64_t received = 0;
-        while (!sender_done->load() || received < sent->load()) {
+        while (true) {
           const std::string header = conn->ReadHeader();
-          if (header.empty()) break;  // connection lost
-          ++received;
+          if (header.empty()) break;  // session closed
           const size_t tp = header.find(" tag=");
           if (tp == std::string::npos) {
             err.fetch_add(1);
@@ -200,11 +201,9 @@ PhaseResult RunPhase(int port, const std::string& name, double load,
         if (!conn->Send(std::string("RUN ") + MixQuery(i) + " tag=" +
                         std::to_string(i + 1) + "\n")) {
           err.fetch_add(1);
-          continue;
         }
-        sent->fetch_add(1);
       }
-      sender_done->store(true);
+      conn->CloseSend();
       receiver.join();
     });
   }

@@ -45,7 +45,8 @@ int main(int argc, char** argv) {
   for (const auto& r : o.runs) {
     int bars = static_cast<int>(r.time_ns / maxt * 48);
     std::printf("%4d %9.3f ms %-8s |%s\n", r.run, r.time_ns / 1e6,
-                r.mutation.c_str(), std::string(bars, '#').c_str());
+                o.lineage[r.run].action.c_str(),
+                std::string(bars, '#').c_str());
   }
   std::printf("\nGME %.3f ms at run %d (serial %.3f ms, %.1fx); %d runs\n",
               o.gme_time_ns / 1e6, o.gme_run, o.serial_time_ns / 1e6,

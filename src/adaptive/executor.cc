@@ -117,22 +117,13 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     rec.run = run;
     rec.time_ns = time;
     rec.wall_ns = er.wall_ns;
-    rec.utilization = profile.utilization;
     rec.plan_stats = plan.Stats();
     rec.max_morsel_skew = profile.MaxMorselSkew();
     rec.max_morsel_tuple_skew = profile.MaxMorselTupleSkew();
     out.runs.push_back(rec);
-
-    // Lineage entry for this run, parallel to out.runs; the decision fields
-    // (victim / action / split points) are filled below once the mutator has
-    // spoken. Invariant checked by tests: lineage.size() == total_runs.
-    AdaptiveLineage lin;
-    lin.run = run;
-    lin.time_ns = time;
-    lin.wall_ns = er.wall_ns;
-    lin.max_morsel_skew = rec.max_morsel_skew;
-    lin.max_morsel_tuple_skew = rec.max_morsel_tuple_skew;
-    out.lineage.push_back(std::move(lin));
+    // The decision that follows this run; filled below once the mutator has
+    // spoken, and left "none" when the run ends the process.
+    out.lineage.emplace_back();
 
     // Runtime skew response: operators that ran imbalanced this run get a
     // shrunken morsel size next run, so the work-stealing scheduler
@@ -165,7 +156,6 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
       }
     }
     out.runs.back().skew_hint_ops = static_cast<int>(hints.size());
-    out.lineage.back().skew_hint_ops = static_cast<int>(hints.size());
     if (!hints.empty()) {
       // One event per shrunken operator so the trace shows WHICH nodes the
       // runtime skew response squeezed and to what morsel size.
@@ -182,8 +172,6 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     MutationReport report;
     auto mutated = mutator.MutateMostExpensive(plan, profile, &report);
     if (!mutated.ok()) return mutated.status();
-    out.runs.back().mutated_node = report.target_node;
-    out.runs.back().mutation = report.mutated ? report.action : "none";
     out.lineage.back().victim = report.target_node;
     out.lineage.back().action = report.mutated ? report.action : "none";
     out.lineage.back().skew_aware = report.mutated && report.skew_aware;
@@ -239,8 +227,6 @@ StatusOr<AdaptiveOutcome> AdaptiveExecutor::Run(
     out.gme_plan = std::move(gme_plan);
     out.gme_profile = std::move(gme_profile);
   }
-  out.serial_wall_ns = out.runs[0].wall_ns;
-  out.gme_wall_ns = out.runs[out.gme_run].wall_ns;
   return out;
 }
 

@@ -18,14 +18,11 @@
 
 namespace apq {
 
-/// \brief One adaptive run's record.
+/// \brief What one adaptive run measured.
 struct AdaptiveRun {
   int run = 0;
   double time_ns = 0;          // response time of this invocation (simulated)
   double wall_ns = 0;          // hardware truth: evaluator wall-clock time
-  double utilization = 0;      // multi-core utilization of this run
-  int mutated_node = -1;       // operator parallelized after this run
-  std::string mutation;        // basic / medium / advanced / none
   PlanStats plan_stats;        // shape of the plan that executed
   /// Worst per-operator morsel skew (max/mean morsel wall time) observed in
   /// this run; 0 when the run executed whole-column. Intra-operator feedback
@@ -41,23 +38,13 @@ struct AdaptiveRun {
   int skew_hint_ops = 0;
 };
 
-/// \brief One entry of the adaptive-convergence lineage: what adaptation did
-/// after each run and why — the structured answer to "how did this query
-/// reach its converged plan". One entry per executed run (lineage.size() ==
-/// runs.size() == AdaptiveOutcome::total_runs); serialized into the
-/// per-query profile JSON (profile/profile_json.h) and served by the HTTP
-/// introspection endpoint as /debug/profile/<query-id>.
+/// \brief One entry of the adaptive-convergence lineage: the decision that
+/// followed a run. Entry i pairs with AdaptiveOutcome::runs[i] (what that
+/// run measured); together they answer "how did this query reach its
+/// converged plan", serialized into the per-query profile JSON
+/// (profile/profile_json.h) and served by the HTTP introspection endpoint
+/// as /debug/profile/<query-id>.
 struct AdaptiveLineage {
-  int run = 0;
-  double time_ns = 0;   // per-run cost: simulated response time
-  double wall_ns = 0;   // hardware wall-clock of the run's evaluation
-  /// Worst wall/tuple morsel skews observed in this run (the signals the
-  /// mutator and the runtime skew response acted on).
-  double max_morsel_skew = 0;
-  double max_morsel_tuple_skew = 0;
-  /// Operators whose morsels were shrunk for the NEXT run by the runtime
-  /// skew response (AdaptiveRun::skew_hint_ops).
-  int skew_hint_ops = 0;
   /// The operator parallelized after this run (-1 when the run ended the
   /// process — converged, or nothing left to mutate).
   int victim = -1;
@@ -74,15 +61,14 @@ struct AdaptiveLineage {
 struct AdaptiveOutcome {
   std::vector<AdaptiveRun> runs;   // runs[0] = serial plan
   /// Per-run adaptation decisions, parallel to `runs` (entry i records what
-  /// the mutator did AFTER run i, plus run i's cost and skew signals).
+  /// the mutator did AFTER run i): lineage.size() == runs.size() ==
+  /// total_runs.
   std::vector<AdaptiveLineage> lineage;
   /// The obs::CurrentQueryId() active while the loop ran (0 outside an
   /// Engine query) — correlates this outcome with trace spans and the
   /// introspection endpoint's /debug/profile/<id>.
   uint64_t query_id = 0;
   double serial_time_ns = 0;
-  double serial_wall_ns = 0;       // wall-clock of the serial-plan evaluation
-  double gme_wall_ns = 0;          // wall-clock of the GME run's evaluation
   double gme_time_ns = 0;
   int gme_run = -1;
   /// Raw minimum over all runs (may differ from the GME when late

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <vector>
 
-#include "util/table_printer.h"
-
 namespace apq {
 
 namespace {
+
+/// Upper bound on partitions created by one skew-aware re-partition (the
+/// strongest density edges win). Uniform basic splits use
+/// MutatorConfig::split_ways.
+constexpr int kSkewMaxWays = 8;
 
 bool IsUnion(const QueryPlan& plan, int id) {
   return plan.node(id).kind == OpKind::kExchangeUnion;
@@ -284,7 +287,7 @@ StatusOr<std::vector<RowRange>> Mutator::PlanPieces(const QueryPlan& plan,
           config_.skew_threshold) {
     std::vector<uint64_t> points =
         SkewSplitPoints(range, prof->morsels, config_.min_partition_rows,
-                        config_.skew_max_ways, ways);
+                        kSkewMaxWays, ways);
     if (!points.empty()) {
       std::vector<RowRange> pieces;
       pieces.reserve(points.size() + 1);
@@ -637,15 +640,6 @@ Status Mutator::SplitAligned(QueryPlan* plan, int node_id, int ways,
     for (size_t i = 1; i < pieces.size(); ++i) {
       report->split_rows.push_back(pieces[i].begin);
     }
-    if (skewed) {
-      report->detail = "skew " +
-                       TablePrinter::Fmt(std::max(prof->morsel_skew,
-                                                  prof->morsel_tuple_skew),
-                                         2) +
-                       ": value-balanced re-partition of " +
-                       OpKindName(before.kind) + " into " +
-                       std::to_string(pieces.size()) + " pieces";
-    }
   }
 
   // Alignment partners only matter for value-producing reconstruction
@@ -747,9 +741,9 @@ int Mutator::FindSplittableAncestor(const QueryPlan& plan, int node_id,
 Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
                          const OpProfile* prof) {
   // Copy, not reference: every mutation below AddNode()s into the plan,
-  // which may reallocate the node vector — reading `n` afterwards (for the
-  // report string, or to continue scanning n.inputs for a union) would be a
-  // use-after-free (caught by the CI ASan job).
+  // which may reallocate the node vector — reading `n` afterwards (to
+  // continue scanning n.inputs for a union) would be a use-after-free
+  // (caught by the CI ASan job).
   const PlanNode n = plan->node(node_id);
   switch (n.kind) {
     case OpKind::kSelect:
@@ -758,12 +752,7 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
       Status st =
           SplitAligned(plan, node_id, config_.split_ways, prof, report);
       if (st.ok()) {
-        if (report->skew_aware) {
-          report->action = "basic-skew";  // detail set by SplitAligned
-        } else {
-          report->action = "basic";
-          report->detail = std::string("split ") + OpKindName(n.kind);
-        }
+        report->action = report->skew_aware ? "basic-skew" : "basic";
         return Status::OK();
       }
       if (st.code() != StatusCode::kUnsupported) return st;
@@ -773,7 +762,6 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
         if (IsUnion(*plan, in)) {
           APQ_RETURN_NOT_OK(PropagateUnion(plan, in));
           report->action = "medium";
-          report->detail = "propagated input union (unsplittable operator)";
           return Status::OK();
         }
       }
@@ -782,20 +770,17 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
     case OpKind::kExchangeUnion: {
       APQ_RETURN_NOT_OK(PropagateUnion(plan, node_id));
       report->action = "medium";
-      report->detail = "propagated union inputs to consumers";
       return Status::OK();
     }
     case OpKind::kGroupBy: {
       APQ_RETURN_NOT_OK(AdvancedGroupBy(plan, node_id));
       report->action = "advanced";
-      report->detail = "cloned group-by + aggregates per partition";
       return Status::OK();
     }
     case OpKind::kSort:
     case OpKind::kTopN: {
       APQ_RETURN_NOT_OK(AdvancedSort(plan, node_id));
       report->action = "advanced";
-      report->detail = "per-partition sorts + merge";
       return Status::OK();
     }
     case OpKind::kMap: {
@@ -804,7 +789,6 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
         if (IsUnion(*plan, in)) {
           APQ_RETURN_NOT_OK(PropagateUnion(plan, in));
           report->action = "medium";
-          report->detail = "propagated input union through map";
           return Status::OK();
         }
       }
@@ -815,7 +799,6 @@ Status Mutator::MutateOp(QueryPlan* plan, int node_id, MutationReport* report,
         int u = n.inputs[0];
         APQ_RETURN_NOT_OK(PropagateUnion(plan, u));
         report->action = "medium";
-        report->detail = "cloned scalar aggregate per partition + merge";
         return Status::OK();
       }
       return Status::Unsupported("aggregate input is not partitioned yet");
@@ -884,7 +867,6 @@ StatusOr<QueryPlan> Mutator::MutateMostExpensive(const QueryPlan& plan,
       if (st2.ok()) {
         FlattenUnions(&mutated2);
         attempt2.mutated = true;
-        attempt2.detail += " (ancestor of X_" + std::to_string(op.node_id) + ")";
         *report = attempt2;
         return mutated2;
       }

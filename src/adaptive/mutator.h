@@ -53,10 +53,6 @@ struct MutatorConfig {
   /// balanced runs while still catching the paper's clustered-value layouts
   /// (which profile at 2-3x).
   double skew_threshold = 1.5;
-  /// Upper bound on partitions created by one skew-aware re-partition (the
-  /// strongest density edges win). Uniform basic splits keep using
-  /// split_ways.
-  int skew_max_ways = 8;
 };
 
 /// \brief What a mutation step did (for traces and tests).
@@ -64,7 +60,6 @@ struct MutationReport {
   bool mutated = false;
   int target_node = -1;       // the operator that was parallelized
   std::string action;         // "basic", "basic-skew", "medium", "advanced"
-  std::string detail;
   /// True when the basic mutation used skew-aware value-balanced range
   /// re-partitioning instead of uniform halving.
   bool skew_aware = false;

@@ -11,67 +11,47 @@ namespace apq {
 
 namespace {
 
-// End-to-end hardware latency per query, both entry points. Resolved once;
-// observation is a couple of relaxed atomics per query.
-obs::Histogram* QueryLatencyHistogram() {
-  static obs::Histogram* h = obs::MetricsRegistry::Global().GetHistogram(
-      "apq_query_latency_ns", obs::Histogram::LatencyBoundsNs());
-  return h;
-}
-
-// Failed queries must leave a metric trail (satellite: every Engine query
-// error path bumps this and records an error-status QueryRecord).
-obs::Counter* QueryErrorsCounter() {
-  static obs::Counter* c =
+// The one recording point of a finished query, for both entry points and
+// both their ok and error paths: observes its end-to-end latency, counts a
+// failure (every error leaves a metric trail), folds in the query context's
+// accounting, renders the profile document from the record and pushes the
+// record into the recent-query ring. `workers` is the parallel-efficiency
+// denominator: the fleet size when the evaluator has one, else 1
+// (whole-column execution runs on the calling thread).
+void RecordQuery(const obs::QueryContext& query, const Evaluator& evaluator,
+                 const Status& status, QueryProfileDoc doc) {
+  static obs::Histogram* const latency =
+      obs::MetricsRegistry::Global().GetHistogram(
+          "apq_query_latency_ns", obs::Histogram::LatencyBoundsNs());
+  static obs::Counter* const errors =
       obs::MetricsRegistry::Global().GetCounter("apq_query_errors_total");
-  return c;
-}
-
-// Serializes `doc`, wraps it in a QueryRecord, and pushes it into the
-// recent-query ring — the single recording point both entry points (and
-// both their ok/error paths) funnel through.
-void RecordQuery(const QueryProfileDoc& doc, int runs, int mutations) {
-  obs::QueryRecord rec;
-  rec.id = doc.query_id;
-  rec.kind = doc.kind;
-  rec.status = doc.status;
-  rec.error = doc.error;
-  rec.wall_ns = doc.wall_ns;
-  rec.time_ns = doc.time_ns;
-  rec.rows = doc.rows;
-  rec.runs = runs;
-  rec.mutations = mutations;
-  rec.peak_bytes = doc.peak_bytes;
-  rec.cpu_ns = doc.cpu_ns;
-  rec.queue_wait_ns = doc.queue_wait_ns;
+  obs::QueryRecord& rec = doc.record;
+  latency->Observe(rec.wall_ns);
+  if (!status.ok()) {
+    errors->Inc();
+    rec.status = "error";
+    rec.error = status.ToString();
+  }
+  const obs::OpAcct& a = query.acct;
+  rec.peak_bytes = a.peak_bytes.load(std::memory_order_relaxed);
+  rec.cpu_ns = static_cast<double>(a.cpu_ns.load(std::memory_order_relaxed));
+  rec.queue_wait_ns =
+      static_cast<double>(a.queue_wait_ns.load(std::memory_order_relaxed));
+  const auto& fleet = evaluator.morsel_scheduler();
+  rec.workers = fleet != nullptr && fleet->num_workers() > 0
+                    ? fleet->num_workers()
+                    : 1;
   rec.profile_json = QueryProfileJson(doc);
   obs::QueryLog::Global().Push(std::move(rec));
-}
-
-// Folds the query context's accounting into `doc` (peak bytes, CPU, queue
-// wait). `workers` is the parallel-efficiency denominator: the
-// morsel-scheduler fleet size when one exists, else 1 (whole-column
-// execution runs on the calling thread).
-void SnapshotResources(const obs::QueryContext& query,
-                       const Evaluator& evaluator, QueryProfileDoc* doc) {
-  const obs::OpAcct& a = query.acct;
-  doc->peak_bytes = a.peak_bytes.load(std::memory_order_relaxed);
-  doc->cpu_ns = static_cast<double>(a.cpu_ns.load(std::memory_order_relaxed));
-  doc->queue_wait_ns =
-      static_cast<double>(a.queue_wait_ns.load(std::memory_order_relaxed));
-  const auto& sched = evaluator.morsel_scheduler();
-  doc->workers = (sched != nullptr && sched->num_workers() > 0)
-                     ? sched->num_workers()
-                     : 1;
 }
 
 }  // namespace
 
 StatusOr<QueryRunResult> Engine::RunPlanInner(
     const QueryPlan& plan, const std::vector<SimTask>& background,
-    uint64_t seed_salt) {
+    uint64_t seed_salt, uint64_t morsel_rows) {
   EvalResult er;
-  APQ_RETURN_NOT_OK(evaluator_.Execute(plan, &er));
+  APQ_RETURN_NOT_OK(evaluator_.Execute(plan, &er, {}, morsel_rows));
   SimulatedRun sim = SimulateRun(plan, er.metrics, cost_model_, simulator_,
                                  background, seed_salt);
   QueryRunResult out;
@@ -86,41 +66,32 @@ StatusOr<QueryRunResult> Engine::RunPlanInner(
 
 StatusOr<QueryRunResult> Engine::RunPlan(const QueryPlan& plan,
                                          const std::vector<SimTask>& background,
-                                         uint64_t seed_salt) {
+                                         uint64_t seed_salt,
+                                         uint64_t morsel_rows) {
   obs::QueryContext query{obs::NextQueryId()};
   obs::QueryScope query_scope(&query);
-  const uint64_t qid = query.id;
   obs::SpanScope query_span(obs::SpanKind::kQuery, "query",
-                            static_cast<int64_t>(qid));
+                            static_cast<int64_t>(query.id));
   const double q0 = NowNs();
-  auto out = RunPlanInner(plan, background, seed_salt);
-  const double wall = NowNs() - q0;
-  QueryLatencyHistogram()->Observe(wall);
-
+  auto out = RunPlanInner(plan, background, seed_salt, morsel_rows);
   QueryProfileDoc doc;
-  doc.query_id = qid;
-  doc.kind = "plan";
-  doc.wall_ns = wall;
+  doc.record.id = query.id;
+  doc.record.wall_ns = NowNs() - q0;
   if (out.ok()) {
     QueryRunResult& r = out.ValueOrDie();
-    r.query_id = qid;
-    doc.time_ns = r.time_ns;
-    doc.rows = r.result.NumRows();
+    r.query_id = query.id;
+    doc.record.time_ns = r.time_ns;
+    doc.record.rows = r.result.NumRows();
     doc.profile = &r.profile;
-  } else {
-    QueryErrorsCounter()->Inc();
-    doc.status = "error";
-    doc.error = out.status().ToString();
   }
-  SnapshotResources(query, evaluator_, &doc);
-  RecordQuery(doc, /*runs=*/1, /*mutations=*/0);
+  RecordQuery(query, evaluator_, out.status(), std::move(doc));
   return out;
 }
 
 StatusOr<QueryPlan> Engine::HeuristicPlan(const QueryPlan& serial_plan,
                                           int dop) const {
   HeuristicConfig hc;
-  hc.dop = dop > 0 ? dop : config_.hp_dop;
+  hc.dop = dop > 0 ? dop : config_.sim.logical_cores;
   HeuristicParallelizer hp(hc);
   return hp.Parallelize(serial_plan);
 }
@@ -137,9 +108,8 @@ StatusOr<AdaptiveOutcome> Engine::RunAdaptive(
     const QueryPlan& serial_plan, const std::vector<SimTask>& background) {
   obs::QueryContext query{obs::NextQueryId()};
   obs::QueryScope query_scope(&query);
-  const uint64_t qid = query.id;
   obs::SpanScope query_span(obs::SpanKind::kQuery, "adaptive-query",
-                            static_cast<int64_t>(qid));
+                            static_cast<int64_t>(query.id));
   const double q0 = NowNs();
   AdaptiveParams params;
   params.convergence = config_.convergence;
@@ -148,33 +118,25 @@ StatusOr<AdaptiveOutcome> Engine::RunAdaptive(
   params.verify_results = config_.verify_results;
   AdaptiveExecutor exec(&evaluator_, cost_model_, simulator_, params);
   auto out = exec.Run(serial_plan, background);
-  const double wall = NowNs() - q0;
-  QueryLatencyHistogram()->Observe(wall);
-
   QueryProfileDoc doc;
-  doc.query_id = qid;
-  doc.kind = "adaptive";
-  doc.wall_ns = wall;
-  int runs = 0;
-  int mutations = 0;
+  doc.record.id = query.id;
+  doc.record.kind = "adaptive";
+  doc.record.wall_ns = NowNs() - q0;
+  doc.record.runs = 0;  // a failed loop reports no runs
   if (out.ok()) {
     const AdaptiveOutcome& a = out.ValueOrDie();
-    query_span.set_args(static_cast<int64_t>(qid), a.total_runs, a.gme_run);
-    doc.time_ns = a.gme_time_ns;
-    doc.rows = a.result.NumRows();
+    query_span.set_args(static_cast<int64_t>(query.id), a.total_runs,
+                        a.gme_run);
+    doc.record.time_ns = a.gme_time_ns;
+    doc.record.rows = a.result.NumRows();
+    doc.record.runs = a.total_runs;
+    for (const AdaptiveLineage& entry : a.lineage) {
+      if (entry.action != "none") ++doc.record.mutations;
+    }
     doc.profile = &a.gme_profile;
     doc.adaptive = &a;
-    runs = a.total_runs;
-    for (const auto& entry : a.lineage) {
-      if (entry.action != "none") ++mutations;
-    }
-  } else {
-    QueryErrorsCounter()->Inc();
-    doc.status = "error";
-    doc.error = out.status().ToString();
   }
-  SnapshotResources(query, evaluator_, &doc);
-  RecordQuery(doc, runs, mutations);
+  RecordQuery(query, evaluator_, out.status(), std::move(doc));
   return out;
 }
 

@@ -1,5 +1,8 @@
 // Public facade: ties storage, evaluation, the cost model, the simulated
-// machine, and the three parallelization strategies together.
+// machine, and the three parallelization strategies together. Every
+// RunPlan / RunAdaptive call, ok or failed, is recorded once: one
+// obs::QueryRecord, which /debug/queries shows and from which the
+// query's /debug/profile/<id> document is rendered.
 #ifndef APQ_ENGINE_ENGINE_H_
 #define APQ_ENGINE_ENGINE_H_
 
@@ -20,11 +23,11 @@ namespace apq {
 
 /// \brief Engine-wide configuration.
 struct EngineConfig {
+  /// The simulated machine; its logical_cores is the default heuristic DOP
+  /// and the cores of every adaptive run's convergence controller.
   SimConfig sim = SimConfig::TwoSocket32();
-  CostParams cost;
-  ConvergenceParams convergence;   // cores is synced to sim.logical_cores
+  ConvergenceParams convergence;   // cores: RunAdaptive uses sim's
   MutatorConfig mutator;
-  int hp_dop = 32;                 // heuristic parallelizer default DOP
   bool verify_results = false;     // cross-check every adaptive run
   /// Real execution backend: the vectorized kernels at the best SIMD tier
   /// the CPU supports, and the thread fleet (sched/morsel_scheduler.h) that
@@ -42,12 +45,9 @@ struct EngineConfig {
   /// fleet instead of one pool each.
   std::shared_ptr<MorselScheduler> morsel_scheduler;
 
-  EngineConfig() { convergence.cores = sim.logical_cores; }
   static EngineConfig WithSim(SimConfig s) {
     EngineConfig c;
     c.sim = s;
-    c.convergence.cores = s.logical_cores;
-    c.hp_dop = s.logical_cores;
     return c;
   }
 };
@@ -74,7 +74,6 @@ class Engine {
                    config.morsel_scheduler == nullptr && config.use_morsels
                        ? std::make_shared<MorselScheduler>()
                        : config.morsel_scheduler),
-        cost_model_(config.cost),
         simulator_(config.sim) {}
 
   const EngineConfig& config() const { return config_; }
@@ -92,9 +91,12 @@ class Engine {
 
   /// Executes `plan` as-is; background tasks (if any) contend for the
   /// machine. `seed_salt` decorrelates noise between repetitions.
+  /// `morsel_rows` is this call's base morsel size (0 = the configured
+  /// EngineConfig::morsel_rows; APQ_FORCE_MORSELS=<rows> overrides both).
   StatusOr<QueryRunResult> RunPlan(const QueryPlan& plan,
                                    const std::vector<SimTask>& background = {},
-                                   uint64_t seed_salt = 0);
+                                   uint64_t seed_salt = 0,
+                                   uint64_t morsel_rows = 0);
 
   /// Serial execution (the optimizer's serial plan, run 0 of adaptation).
   StatusOr<QueryRunResult> RunSerial(const QueryPlan& serial_plan,
@@ -102,7 +104,8 @@ class Engine {
     return RunPlan(serial_plan, {}, seed_salt);
   }
 
-  /// Heuristic (static) parallelization at `dop` (default config.hp_dop).
+  /// Heuristic (static) parallelization at `dop` (default
+  /// config.sim.logical_cores).
   StatusOr<QueryRunResult> RunHeuristic(
       const QueryPlan& serial_plan, int dop = -1,
       const std::vector<SimTask>& background = {}, uint64_t seed_salt = 0);
@@ -130,7 +133,8 @@ class Engine {
   /// records the outcome — including errors — into the query log).
   StatusOr<QueryRunResult> RunPlanInner(const QueryPlan& plan,
                                         const std::vector<SimTask>& background,
-                                        uint64_t seed_salt);
+                                        uint64_t seed_salt,
+                                        uint64_t morsel_rows);
 
   EngineConfig config_;
   Evaluator evaluator_;

@@ -263,9 +263,27 @@ Evaluator::~Evaluator() {
   obs::AddHashCacheBytes(-static_cast<int64_t>(bytes));
 }
 
-uint64_t Evaluator::EffectiveMorselRows() const {
+Evaluator::Evaluator(ExecOptions options,
+                     std::shared_ptr<MorselScheduler> fleet)
+    : options_(options),
+      simd_ops_(&simd::Resolve(options.simd_level)),
+      fleet_(fleet != nullptr || ForcedEnvMorselRows() == 0
+                 ? std::move(fleet)
+                 : std::make_shared<MorselScheduler>()) {
+  // Observability wiring, once per evaluator. APQ_TRACE / APQ_METRICS are
+  // read here so benches and examples that never touch Engine still export
+  // at exit; the gauge mirrors the dispatch tier the kernels run with.
+  obs::InitFromEnv();
+  obs::MetricsRegistry::Global()
+      .GetGauge("apq_simd_dispatch_level")
+      ->Set(static_cast<int64_t>(simd_ops_->level));
+  RegisterBuildInfo(simd_ops_->level);
+}
+
+uint64_t Evaluator::EffectiveMorselRows(uint64_t morsel_rows) const {
   const uint64_t forced = ForcedEnvMorselRows();
-  return forced > 1 ? forced : options_.morsel_rows;
+  if (forced > 1) return forced;
+  return morsel_rows > 0 ? morsel_rows : options_.morsel_rows;
 }
 
 uint64_t Evaluator::ForcedEnvMorselRows() {
@@ -305,7 +323,8 @@ std::shared_ptr<HashIndex> Evaluator::GetOrBuildHash(const Column& column,
 }
 
 Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out,
-                          const MorselRowsByNode& node_rows) {
+                          const MorselRowsByNode& node_rows,
+                          uint64_t morsel_rows) {
   APQ_RETURN_NOT_OK(plan.Validate());
   out->intermediates.clear();
   out->metrics.clear();
@@ -317,8 +336,8 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out,
   std::vector<uint8_t> done(plan.num_nodes(), 0);
   std::vector<OpMetrics> metrics(order.size());
   HashBuildLog hash_builds;
-  const ExecContext ctx{&slots, &done, &node_rows, EffectiveMorselRows(),
-                        &hash_builds};
+  const ExecContext ctx{&slots, &done, &node_rows,
+                        EffectiveMorselRows(morsel_rows), &hash_builds};
   // One span per plan execution: the nesting parent of every operator span
   // on this thread (query -> [adaptive run ->] execute -> operator).
   // a1 = the engine's query id, correlating this span with
@@ -362,10 +381,12 @@ Status Evaluator::Execute(const QueryPlan& plan, EvalResult* out,
     tf.in->Inc(m.tuples_in);
     tf.out->Inc(m.tuples_out);
   }
-  // The result node's slot already holds a copy of its input.
-  out->result = std::move(slots[plan.result_id()]);
+  // The result node hands its input over: the query result is that slot,
+  // moved, so neither node is listed in intermediates.
+  const int result_input = plan.node(plan.result_id()).inputs[0];
+  out->result = std::move(slots[result_input]);
   for (int id : order) {
-    if (id != plan.result_id()) {
+    if (id != plan.result_id() && id != result_input) {
       out->intermediates.emplace(id, std::move(slots[id]));
     }
   }
@@ -495,9 +516,10 @@ Status Evaluator::ExecNodeInner(const QueryPlan& plan, const PlanNode& node,
     case OpKind::kSort:
     case OpKind::kTopN: return ExecSort(node, ctx, result, m);
     case OpKind::kResult: {
+      // Execute moves the input's slot into EvalResult::result; only check
+      // that the input ran.
       const Intermediate* in;
       APQ_INPUT_OF(ctx, node.inputs[0], &in);
-      *result = *in;
       return Status::OK();
     }
   }

@@ -22,9 +22,9 @@
 // clones' partials the same way. Plans without a union, and evaluators
 // without a fleet, run their nodes inline in topological order.
 //
-// The evaluator keeps only what outlives a query (options, fleet, hash
-// cache); what one Execute call needs, per-node morsel sizes included,
-// travels with the call.
+// The evaluator keeps only what outlives a query (options and SIMD table,
+// fixed when it is built; fleet; hash cache); what one Execute call needs,
+// its base and per-node morsel sizes included, travels with the call.
 //
 // The row-at-a-time reference for select, fetch-join, group-by, sort,
 // aggregation and aggr-merge lives with the tests (tests/reference_ops.h),
@@ -62,10 +62,14 @@ struct OpMetrics {
   uint64_t random_working_set = 0;    // bytes of the randomly accessed region
   uint64_t hash_build_rows = 0;       // rows inserted into a new hash index
   uint64_t sort_rows = 0;             // rows sorted (n log n term)
-  uint64_t peak_bytes = 0;   // peak bytes charged while this operator ran
-  uint64_t cpu_ns = 0;       // summed task execution time (node wall when
-                             // the operator ran whole-column, no tasks)
-  uint64_t queue_wait_ns = 0;  // summed scheduler queue-wait of its tasks
+  /// Resource accounting (obs/resource_tracker.h): peak bytes charged while
+  /// the operator ran, its summed task execution time (node wall when it
+  /// ran whole-column), and its tasks' summed scheduler queue-wait. Tasks
+  /// bill only under a query context, so outside an engine query cpu_ns is
+  /// the node wall and queue_wait_ns is 0.
+  uint64_t peak_bytes = 0;
+  uint64_t cpu_ns = 0;
+  uint64_t queue_wait_ns = 0;
   /// Per-morsel breakdown in morsel (= input) order; empty when the operator
   /// ran whole-column. Morsel tuple counts sum exactly to tuples_in/out.
   std::vector<MorselMetrics> morsels;
@@ -103,13 +107,14 @@ struct ExecOptions {
 /// Registers the apq_build_info metric (constant 1, labeled with the
 /// version, the resolved SIMD dispatch tier, and the build type) once per
 /// process, so scraped fleets can correlate perf deltas with binaries.
-/// Called from set_options after SIMD resolution; later tier changes keep
-/// the first registration (one build = one info series).
+/// Called by the Evaluator constructor after SIMD resolution; evaluators
+/// built later at another tier keep the first registration (one build = one
+/// info series).
 void RegisterBuildInfo(simd::SimdLevel level);
 
 /// Per-node morsel sizes for one Execute call, keyed by plan node id: the
 /// adaptive loop's response to the morsel skew of its previous run. A node
-/// without an entry, or with 0, runs at EffectiveMorselRows().
+/// without an entry, or with 0, runs at the call's base size.
 using MorselRowsByNode = std::unordered_map<int, uint64_t>;
 
 /// \brief Interprets plans operator-at-a-time (like MonetDB's MAL
@@ -118,52 +123,37 @@ using MorselRowsByNode = std::unordered_map<int, uint64_t>;
 /// caching; the cache is thread-safe so parallel join clones share one build.
 class Evaluator {
  public:
-  /// `fleet` runs this evaluator's morsels and clone levels; sharing one
-  /// lets concurrent queries multiplex one worker fleet. Without one every
-  /// node runs inline, unless APQ_FORCE_MORSELS makes the evaluator its own
-  /// fleet of one worker per hardware thread.
+  /// `options` are fixed for the evaluator's life. `fleet` runs this
+  /// evaluator's morsels and clone levels; sharing one lets concurrent
+  /// queries multiplex one worker fleet. Without one every node runs
+  /// inline, unless APQ_FORCE_MORSELS makes the evaluator its own fleet of
+  /// one worker per hardware thread. Resolves the SIMD table and wires
+  /// observability (evaluator.cc).
   explicit Evaluator(ExecOptions options = ExecOptions(),
-                     std::shared_ptr<MorselScheduler> fleet = nullptr)
-      : fleet_(fleet != nullptr || ForcedEnvMorselRows() == 0
-                   ? std::move(fleet)
-                   : std::make_shared<MorselScheduler>()) {
-    set_options(options);
-  }
+                     std::shared_ptr<MorselScheduler> fleet = nullptr);
   /// Returns the bytes of the cached hash indexes to apq_hash_cache_bytes.
   ~Evaluator();
 
-  void set_options(ExecOptions options) {
-    options_ = options;
-    // Resolved once per options change, not per kernel call: env override >
-    // requested level > cpuid probe. Scalar tier = all-null table = the
-    // generic loops.
-    simd_ops_ = &simd::Resolve(options_.simd_level);
-    // Observability wiring (rare path: once per options change). APQ_TRACE /
-    // APQ_METRICS are read here so benches and examples that never touch
-    // Engine still export at exit; the gauge mirrors the dispatch tier the
-    // kernels actually run with.
-    obs::InitFromEnv();
-    obs::MetricsRegistry::Global()
-        .GetGauge("apq_simd_dispatch_level")
-        ->Set(static_cast<int64_t>(simd_ops_->level));
-    RegisterBuildInfo(simd_ops_->level);
-  }
   const ExecOptions& options() const { return options_; }
 
-  /// Executes `plan`; on success fills `out`. `node_rows` sets the morsel
-  /// size of the nodes it names for this call only; node ids refer to
+  /// Executes `plan`; on success fills `out`. For this call only,
+  /// `morsel_rows` is the base morsel size (0 = options().morsel_rows) and
+  /// `node_rows` sets the size of the nodes it names; node ids refer to
   /// `plan`, so a mutated plan's fresh clones get no stale sizes.
+  /// APQ_FORCE_MORSELS=<rows> overrides the base size of every call.
   Status Execute(const QueryPlan& plan, EvalResult* out,
-                 const MorselRowsByNode& node_rows = {});
+                 const MorselRowsByNode& node_rows = {},
+                 uint64_t morsel_rows = 0);
 
   /// The thread fleet, fixed at construction; null when nodes run inline.
   const std::shared_ptr<MorselScheduler>& morsel_scheduler() const {
     return fleet_;
   }
 
-  /// Rows per morsel actually used: options().morsel_rows, unless
-  /// APQ_FORCE_MORSELS carries an explicit row count (e.g. =4096).
-  uint64_t EffectiveMorselRows() const;
+  /// Base rows per morsel of a call that passes `morsel_rows` (0 =
+  /// options().morsel_rows), unless APQ_FORCE_MORSELS carries an explicit
+  /// row count (e.g. =4096).
+  uint64_t EffectiveMorselRows(uint64_t morsel_rows = 0) const;
 
   /// The validated APQ_FORCE_MORSELS value (1..2^32, read once through
   /// util/env.h): 0 = unset or rejected, 1 = on with the configured size,
@@ -186,7 +176,7 @@ class Evaluator {
     const std::vector<Intermediate>* slots = nullptr;
     const std::vector<uint8_t>* done = nullptr;
     const MorselRowsByNode* node_rows = nullptr;
-    uint64_t base_rows = 0;  // EffectiveMorselRows() when the call began
+    uint64_t base_rows = 0;  // the call's EffectiveMorselRows
     /// The hash builds this call made; appended under hash_mu_.
     HashBuildLog* hash_builds = nullptr;
 
@@ -242,9 +232,11 @@ class Evaluator {
   std::shared_ptr<HashIndex> GetOrBuildHash(const Column& column,
                                             const ExecContext& ctx);
 
-  ExecOptions options_;
-  /// Active SIMD dispatch table (see set_options).
-  const simd::SimdOps* simd_ops_ = nullptr;
+  const ExecOptions options_;
+  /// The SIMD dispatch table, resolved once at construction: env override >
+  /// requested level > cpuid probe. Scalar tier = all-null table = the
+  /// generic loops.
+  const simd::SimdOps* const simd_ops_;
   /// Null runs every operator routine once inline over the whole input.
   const std::shared_ptr<MorselScheduler> fleet_;
 

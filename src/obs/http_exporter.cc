@@ -115,7 +115,11 @@ void HttpExporter::Handle(const std::string& raw_path, int* http_status,
     if (!ParseDecimal(id_str.c_str(), 1, UINT64_MAX, &id) ||
         !QueryLog::Global().FindProfile(id, body)) {
       *http_status = 404;
-      *body = "{\"error\":\"no profile for query id '" + id_str + "'\"}";
+      std::ostringstream os;
+      os << "{\"error\":\"no profile for query id '";
+      JsonEscapeInto(os, id_str);
+      os << "'\"}";
+      *body = os.str();
     }
     return;
   }

@@ -10,20 +10,6 @@ namespace {
 
 std::atomic<uint64_t> g_next_query_id{1};
 
-// Minimal JSON string escaping for status/error texts (profile documents
-// arrive pre-serialized and are embedded verbatim).
-void JsonEscapeInto(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
 void AppendSummary(std::ostringstream& os, const QueryRecord& r) {
   os.precision(15);
   os << "{\"id\":" << r.id << ",\"kind\":\"";
@@ -43,6 +29,18 @@ void AppendSummary(std::ostringstream& os, const QueryRecord& r) {
 
 uint64_t NextQueryId() {
   return g_next_query_id.fetch_add(1, std::memory_order_relaxed);
+}
+
+void JsonEscapeInto(std::ostream& os, std::string_view s) {
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      os << '\\' << c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      os << ' ';
+    } else {
+      os << c;
+    }
+  }
 }
 
 QueryLog& QueryLog::Global() {

@@ -10,9 +10,13 @@
 //
 // Completed (or failed) queries push a QueryRecord — summary scalars plus
 // the pre-serialized profile JSON document — into the fixed-capacity global
-// QueryLog ring. The HTTP exporter (obs/http_exporter.h) serves the ring as
-// /debug/queries and /debug/profile/<id>, and a valid APQ_PROFILE=<path>
-// dumps it as one JSON document at process exit, no HTTP required.
+// QueryLog ring. The record is the one home of a query's summary: the
+// engine fills it once per query and renders the profile document from it
+// (profile/profile_json.h QueryProfileDoc::record), so /debug/queries and
+// /debug/profile/<id> cannot disagree. The HTTP exporter
+// (obs/http_exporter.h) serves the ring as /debug/queries and
+// /debug/profile/<id>, and a valid APQ_PROFILE=<path> dumps it as one JSON
+// document at process exit, no HTTP required.
 //
 // The log deliberately stores *serialized* JSON: src/obs stays independent
 // of the plan/profile layers (the engine serializes via
@@ -25,7 +29,9 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace apq {
@@ -35,10 +41,15 @@ namespace obs {
 /// reused; 0 means "no query".
 uint64_t NextQueryId();
 
+/// Writes `s` as the body of a JSON string: '"' and '\\' are escaped, and
+/// each control character becomes a space. The query log, the profile
+/// document and the Chrome trace all escape through this one routine.
+void JsonEscapeInto(std::ostream& os, std::string_view s);
+
 /// \brief One finished query, as the introspection surface remembers it.
 struct QueryRecord {
   uint64_t id = 0;
-  std::string kind;          // "plan" | "adaptive"
+  std::string kind = "plan"; // "plan" | "adaptive"
   std::string status = "ok"; // "ok" | "error"
   std::string error;         // status message when status == "error"
   double wall_ns = 0;        // hardware wall-clock of the whole invocation
@@ -49,6 +60,10 @@ struct QueryRecord {
   uint64_t peak_bytes = 0;   // peak charged bytes (obs/resource_tracker.h)
   double cpu_ns = 0;         // summed task/operator execution time
   double queue_wait_ns = 0;  // summed scheduler queue-wait
+  /// Morsel-scheduler workers the query ran with (1 without a fleet; 0
+  /// unknown): the parallel-efficiency denominator of the profile document,
+  /// which the summary leaves out.
+  int workers = 0;
   /// The full per-query JSON document served by /debug/profile/<id>
   /// (profile/profile_json.h schema).
   std::string profile_json;

@@ -107,18 +107,6 @@ TickConverter MakeConverter() {
   return TickConverter{reg.anchor_ticks, ns_per_tick / 1000.0};
 }
 
-void JsonEscapeInto(std::ostringstream& os, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') os << '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      os << "\\u0020";  // control chars never appear in our static names
-      continue;
-    }
-    os << c;
-  }
-}
-
 Status WriteFile(const std::string& path, const std::string& body) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {

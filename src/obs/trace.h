@@ -54,7 +54,9 @@ const char* SpanKindName(SpanKind k);
 
 /// \brief One ring-buffer slot. POD; `name` must point to static-storage
 /// strings (operator kind names, literal labels) — the exporter reads it
-/// long after the emitting scope died.
+/// long after the emitting scope died, and escapes it with
+/// obs::JsonEscapeInto (obs/query_log.h). Names hold no control characters,
+/// which that escaper would turn into spaces.
 struct TraceEvent {
   uint64_t start_ticks = 0;
   uint64_t end_ticks = 0;  // == start_ticks for instant events
@@ -144,9 +146,10 @@ void ClearTraceBuffers();
 /// flushes the trace, the metrics snapshot (APQ_METRICS; a ".json" suffix
 /// selects JSON, anything else Prometheus text), and the recent-query
 /// profile dump (APQ_PROFILE, obs/query_log.h) when the process ends, so
-/// benches and examples get observability without Engine plumbing. A valid APQ_HTTP starts the live introspection endpoint
-/// (obs/http_exporter.h). Idempotent and cheap after the first call; the
-/// evaluator calls this from set_options.
+/// benches and examples get observability without Engine plumbing. A valid
+/// APQ_HTTP starts the live introspection endpoint (obs/http_exporter.h).
+/// Idempotent and cheap after the first call; every Evaluator calls this
+/// once, when it is built.
 void InitFromEnv();
 
 // ---- implementation details (header-inline for the hot-path branch) ----

@@ -11,18 +11,6 @@ namespace apq {
 
 namespace {
 
-void EscapeInto(std::ostringstream& os, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      os << '\\' << c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      os << ' ';
-    } else {
-      os << c;
-    }
-  }
-}
-
 std::ostringstream MakeStream() {
   std::ostringstream os;
   os.precision(15);
@@ -52,7 +40,7 @@ std::string OpProfileJson(const OpProfile& op) {
   std::ostringstream os = MakeStream();
   os << "{\"node_id\":" << op.node_id << ",\"kind\":\"" << OpKindName(op.kind)
      << "\",\"label\":\"";
-  EscapeInto(os, op.label);
+  obs::JsonEscapeInto(os, op.label);
   os << "\",\"work_ns\":" << Finite(op.work_ns)
      << ",\"start_ns\":" << Finite(op.start_ns)
      << ",\"end_ns\":" << Finite(op.end_ns)
@@ -94,15 +82,16 @@ std::string RunProfileJson(const RunProfile& profile) {
   return os.str();
 }
 
-std::string AdaptiveLineageJson(const AdaptiveLineage& entry) {
+std::string AdaptiveLineageJson(const AdaptiveRun& run,
+                                const AdaptiveLineage& entry) {
   std::ostringstream os = MakeStream();
-  os << "{\"run\":" << entry.run << ",\"time_ns\":" << Finite(entry.time_ns)
-     << ",\"wall_ns\":" << Finite(entry.wall_ns)
-     << ",\"max_morsel_skew\":" << Finite(entry.max_morsel_skew)
-     << ",\"max_morsel_tuple_skew\":" << Finite(entry.max_morsel_tuple_skew)
-     << ",\"skew_hint_ops\":" << entry.skew_hint_ops
+  os << "{\"run\":" << run.run << ",\"time_ns\":" << Finite(run.time_ns)
+     << ",\"wall_ns\":" << Finite(run.wall_ns)
+     << ",\"max_morsel_skew\":" << Finite(run.max_morsel_skew)
+     << ",\"max_morsel_tuple_skew\":" << Finite(run.max_morsel_tuple_skew)
+     << ",\"skew_hint_ops\":" << run.skew_hint_ops
      << ",\"victim\":" << entry.victim << ",\"action\":\"";
-  EscapeInto(os, entry.action);
+  obs::JsonEscapeInto(os, entry.action);
   os << "\",\"skew_aware\":" << (entry.skew_aware ? "true" : "false")
      << ",\"split_rows\":[";
   bool first = true;
@@ -116,32 +105,25 @@ std::string AdaptiveLineageJson(const AdaptiveLineage& entry) {
 }
 
 std::string QueryProfileJson(const QueryProfileDoc& doc) {
+  const obs::QueryRecord& r = doc.record;
   std::ostringstream os = MakeStream();
-  int runs = 1;
-  int mutations = 0;
-  if (doc.adaptive != nullptr) {
-    runs = doc.adaptive->total_runs;
-    for (const auto& entry : doc.adaptive->lineage) {
-      if (entry.action != "none") ++mutations;
-    }
-  }
-  os << "{\"query_id\":" << doc.query_id << ",\"kind\":\"";
-  EscapeInto(os, doc.kind);
+  os << "{\"query_id\":" << r.id << ",\"kind\":\"";
+  obs::JsonEscapeInto(os, r.kind);
   os << "\",\"status\":\"";
-  EscapeInto(os, doc.status);
+  obs::JsonEscapeInto(os, r.status);
   os << "\",\"error\":\"";
-  EscapeInto(os, doc.error);
+  obs::JsonEscapeInto(os, r.error);
   // parallel_efficiency = cpu / (wall * workers): 1.0 = every worker busy
   // for the whole query; 0 when the denominator is unknown.
-  const double denom = doc.wall_ns * static_cast<double>(doc.workers);
-  const double efficiency = denom > 0 ? doc.cpu_ns / denom : 0.0;
-  os << "\",\"wall_ns\":" << Finite(doc.wall_ns)
-     << ",\"time_ns\":" << Finite(doc.time_ns) << ",\"rows\":" << doc.rows
-     << ",\"runs\":" << runs << ",\"mutations\":" << mutations
-     << ",\"peak_bytes\":" << doc.peak_bytes
-     << ",\"cpu_ns\":" << Finite(doc.cpu_ns)
-     << ",\"queue_wait_ns\":" << Finite(doc.queue_wait_ns)
-     << ",\"workers\":" << doc.workers
+  const double denom = r.wall_ns * static_cast<double>(r.workers);
+  const double efficiency = denom > 0 ? r.cpu_ns / denom : 0.0;
+  os << "\",\"wall_ns\":" << Finite(r.wall_ns)
+     << ",\"time_ns\":" << Finite(r.time_ns) << ",\"rows\":" << r.rows
+     << ",\"runs\":" << r.runs << ",\"mutations\":" << r.mutations
+     << ",\"peak_bytes\":" << r.peak_bytes
+     << ",\"cpu_ns\":" << Finite(r.cpu_ns)
+     << ",\"queue_wait_ns\":" << Finite(r.queue_wait_ns)
+     << ",\"workers\":" << r.workers
      << ",\"parallel_efficiency\":" << Finite(efficiency)
      << ",\"adaptive\":";
   if (doc.adaptive == nullptr) {
@@ -158,11 +140,10 @@ std::string QueryProfileJson(const QueryProfileDoc& doc) {
   }
   os << ",\"lineage\":[";
   if (doc.adaptive != nullptr) {
-    bool first = true;
-    for (const auto& entry : doc.adaptive->lineage) {
-      if (!first) os << ",";
-      os << AdaptiveLineageJson(entry);
-      first = false;
+    const AdaptiveOutcome& a = *doc.adaptive;
+    for (size_t i = 0; i < a.lineage.size(); ++i) {
+      if (i > 0) os << ",";
+      os << AdaptiveLineageJson(a.runs[i], a.lineage[i]);
     }
   }
   os << "],\"profile\":";

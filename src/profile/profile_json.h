@@ -20,6 +20,9 @@
 //                 "max_morsel_skew":..., "max_morsel_tuple_skew":...,
 //                 "skew_hint_ops":..., "victim":..., "action":"basic-skew",
 //                 "skew_aware":true, "split_rows":[...]}, ...],   // R entries
+//    -- lineage object i is run i's measurements (AdaptiveRun, "run"
+//       through "skew_hint_ops") followed by the decision taken after it
+//       (AdaptiveLineage, "victim" onward).
 //    "profile": {"makespan_ns":..., "utilization":...,
 //                "ops": [{"node_id":..., "kind":"select", "label":"...",
 //                         "work_ns":..., "start_ns":..., "end_ns":...,
@@ -33,8 +36,10 @@
 //                                     "domain_begin":...,
 //                                     "domain_end":...}, ...]}]} | null}
 //
-// Conventions: "lineage" is [] and "adaptive" null for plain (non-adaptive)
-// queries; "profile" is null when execution failed before producing one.
+// Conventions: the fields up to "workers" are the query's obs::QueryRecord,
+// so /debug/queries and this document print the same values; "lineage" is
+// [] and "adaptive" null for plain (non-adaptive) queries; "profile" is
+// null when execution failed before producing one.
 // Historical/GME profiles have their raw morsel histograms stripped
 // (executor.h), so num_morsels > 0 with "morsels":[] is valid — the exact
 // p50/p95 then serialize as 0.
@@ -45,6 +50,7 @@
 #include <string>
 
 #include "adaptive/executor.h"
+#include "obs/query_log.h"
 #include "profile/profiler.h"
 
 namespace apq {
@@ -61,36 +67,23 @@ std::string OpProfileJson(const OpProfile& op);
 /// A whole run as a JSON object: makespan, utilization, "ops" array.
 std::string RunProfileJson(const RunProfile& profile);
 
-/// One lineage entry as a JSON object (schema above).
-std::string AdaptiveLineageJson(const AdaptiveLineage& entry);
+/// One lineage entry as a JSON object (schema above): `run`'s measurements,
+/// then `entry`, the decision taken after that run.
+std::string AdaptiveLineageJson(const AdaptiveRun& run,
+                                const AdaptiveLineage& entry);
 
 /// \brief Everything the engine knows about one finished query, bundled for
-/// serialization. Pointers borrow from the caller for the call's duration;
-/// null `adaptive` means a plain plan query, null `profile` means execution
-/// failed before a profile existed.
+/// serialization: its record, and the profile and adaptive outcome it
+/// borrows for the call's duration. Null `adaptive` means a plain plan
+/// query, null `profile` means execution failed before a profile existed.
 struct QueryProfileDoc {
-  uint64_t query_id = 0;
-  std::string kind = "plan";   // "plan" | "adaptive"
-  std::string status = "ok";   // "ok" | "error"
-  std::string error;           // status message when status == "error"
-  double wall_ns = 0;
-  double time_ns = 0;
-  uint64_t rows = 0;
-  /// Resource accounting totals of the query's context
-  /// (obs/resource_tracker.h). `workers` is the morsel-scheduler worker
-  /// count the query ran with (0 unknown), the denominator of
-  /// parallel_efficiency.
-  uint64_t peak_bytes = 0;
-  double cpu_ns = 0;
-  double queue_wait_ns = 0;
-  int workers = 0;
+  obs::QueryRecord record;  // profile_json is not read
   const RunProfile* profile = nullptr;
   const AdaptiveOutcome* adaptive = nullptr;
 };
 
-/// The full per-query document (schema above). "runs" is
-/// adaptive->total_runs (1 for a plain plan); "mutations" counts lineage
-/// entries whose action is not "none".
+/// The full per-query document (schema above). "parallel_efficiency" is
+/// record.cpu_ns / (record.wall_ns * record.workers), 0 when unknown.
 std::string QueryProfileJson(const QueryProfileDoc& doc);
 
 }  // namespace apq

@@ -127,21 +127,14 @@ RunProfile MakeRunProfile(const QueryPlan& plan,
   rp.ops.reserve(metrics.size());
   for (size_t i = 0; i < metrics.size(); ++i) {
     OpProfile op;
-    op.node_id = metrics[i].node_id;
-    op.kind = metrics[i].kind;
+    static_cast<OpMetrics&>(op) = metrics[i];
     op.label = plan.node(op.node_id).label;
     op.work_ns = cost_model.Work(metrics[i]);
     op.start_ns = timings[i].start_ns;
     op.end_ns = timings[i].end_ns;
     op.core = timings[i].core;
-    op.tuples_in = metrics[i].tuples_in;
-    op.tuples_out = metrics[i].tuples_out;
-    op.peak_bytes = metrics[i].peak_bytes;
-    op.cpu_ns = metrics[i].cpu_ns;
-    op.queue_wait_ns = metrics[i].queue_wait_ns;
-    op.morsels = metrics[i].morsels;
     op.ComputeSkewFromMorsels();
-    rp.ops.push_back(op);
+    rp.ops.push_back(std::move(op));
   }
   return rp;
 }

@@ -14,25 +14,16 @@
 
 namespace apq {
 
-/// \brief Profile of one operator execution within a run.
-struct OpProfile {
-  int node_id = -1;
-  OpKind kind = OpKind::kResult;
+/// \brief Profile of one operator execution within a run: what the evaluator
+/// measured (OpMetrics, including the per-morsel histogram the skew-aware
+/// mutator turns into value-balanced split points) plus where the simulated
+/// machine placed it and the skews derived from its morsels.
+struct OpProfile : OpMetrics {
   std::string label;
   double work_ns = 0;       // cost-model single-core work
   double start_ns = 0;
   double end_ns = 0;
   int core = -1;
-  uint64_t tuples_in = 0;
-  uint64_t tuples_out = 0;
-  /// Resource accounting (obs/resource_tracker.h): peak bytes charged while
-  /// the operator ran, its summed task execution time (node wall when
-  /// whole-column), and summed scheduler queue-wait. Tasks bill only under
-  /// a query context, so outside an engine query cpu_ns is the node wall
-  /// and queue_wait_ns is 0.
-  uint64_t peak_bytes = 0;
-  uint64_t cpu_ns = 0;
-  uint64_t queue_wait_ns = 0;
   /// Morsel-driven execution (0 = ran whole-column). morsel_skew is the max
   /// morsel wall-time over the mean (1 = perfectly balanced): the
   /// intra-operator skew signal the adaptive loop observes alongside the
@@ -49,10 +40,6 @@ struct OpProfile {
   /// positions). Unlike morsel_skew this is identical run-to-run, so the
   /// mutator can act on it without chasing hardware noise.
   double morsel_tuple_skew = 0;
-  /// Per-morsel tuple/time histogram in morsel (= input) order, copied from
-  /// OpMetrics::morsels: the raw feedback the skew-aware mutator turns into
-  /// value-balanced range split points.
-  std::vector<MorselMetrics> morsels;
 
   double duration_ns() const { return end_ns - start_ns; }
 

@@ -252,11 +252,6 @@ void QueryService::Execute(Engine& engine, const Pending& p,
       granted > 0 ? base_rows * static_cast<uint64_t>(
                                     std::max(1, fleet / granted))
                   : base_rows;
-  if (engine.evaluator()->options().morsel_rows != eff_rows) {
-    ExecOptions o = engine.evaluator()->options();
-    o.morsel_rows = eff_rows;
-    engine.evaluator()->set_options(o);
-  }
 
   // Resolve the plan: a cached workload plan, or the selectivity-controlled
   // Q6 variant built per request.
@@ -276,7 +271,7 @@ void QueryService::Execute(Engine& engine, const Pending& p,
     plan = &plans_.at(p.req.query);
   }
 
-  auto run = engine.RunPlan(*plan);
+  auto run = engine.RunPlan(*plan, {}, /*seed_salt=*/0, eff_rows);
   std::string response;
   bool failed = false;
   if (run.ok()) {

@@ -20,9 +20,16 @@ class EngineTest : public ::testing::Test {
 };
 
 TEST_F(EngineTest, ConfigSyncsCoresToSimulator) {
-  EngineConfig cfg = EngineConfig::WithSim(SimConfig::Cores(12, 6));
-  EXPECT_EQ(cfg.convergence.cores, 12);
-  EXPECT_EQ(cfg.hp_dop, 12);
+  // The default heuristic DOP is the simulated machine's logical cores.
+  Engine engine(EngineConfig::WithSim(SimConfig::Cores(12, 6)));
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  auto dflt = engine.HeuristicPlan(q6.ValueOrDie());
+  auto dop12 = engine.HeuristicPlan(q6.ValueOrDie(), 12);
+  auto dop8 = engine.HeuristicPlan(q6.ValueOrDie(), 8);
+  ASSERT_TRUE(dflt.ok() && dop12.ok() && dop8.ok());
+  EXPECT_EQ(dflt.ValueOrDie().ToString(), dop12.ValueOrDie().ToString());
+  EXPECT_NE(dflt.ValueOrDie().ToString(), dop8.ValueOrDie().ToString());
 }
 
 TEST_F(EngineTest, RunPlanIsDeterministicPerSalt) {
@@ -104,13 +111,15 @@ TEST_F(EngineTest, AdaptiveRunsRecordMutationsInOrder) {
   auto ap = engine.RunAdaptive(q6.ValueOrDie());
   ASSERT_TRUE(ap.ok());
   const auto& runs = ap.ValueOrDie().runs;
+  const auto& lineage = ap.ValueOrDie().lineage;
+  ASSERT_EQ(lineage.size(), runs.size());
   for (size_t i = 0; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].run, static_cast<int>(i));
     EXPECT_GT(runs[i].time_ns, 0);
-    // Every non-final run recorded which operator it parallelized.
+    // Every non-final run is followed by the operator it parallelized.
     if (i + 1 < runs.size()) {
-      EXPECT_GE(runs[i].mutated_node, 0) << "run " << i;
-      EXPECT_FALSE(runs[i].mutation.empty()) << "run " << i;
+      EXPECT_GE(lineage[i].victim, 0) << "run " << i;
+      EXPECT_NE(lineage[i].action, "none") << "run " << i;
     }
   }
   // The plan monotonically grows (mutations only add operators).

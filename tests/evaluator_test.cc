@@ -292,7 +292,7 @@ TEST_F(EvaluatorTest, MapEqAndRangeFlags) {
   QueryPlan plan = b.Result(eq);
   EvalResult er;
   ASSERT_TRUE(eval_.Execute(plan, &er).ok());
-  const Intermediate& e = er.intermediates.at(eq);
+  const Intermediate& e = er.result;  // the result node's input, eq
   EXPECT_DOUBLE_EQ(e.values.f64[2], 1.0);  // ints[2] == 7
   EXPECT_DOUBLE_EQ(e.values.f64[0], 0.0);
   // Range flag needs to be reachable to be evaluated; re-run with rg result.

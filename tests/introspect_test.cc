@@ -14,6 +14,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,46 +182,141 @@ TEST(ProfileJsonTest, OpAndRunSerializeAllFields) {
 
 TEST(ProfileJsonTest, QueryDocPlainVsAdaptive) {
   QueryProfileDoc plain;
-  plain.query_id = 11;
-  plain.kind = "plan";
-  plain.wall_ns = 5000;
-  plain.rows = 42;
+  plain.record.id = 11;
+  plain.record.wall_ns = 5000;
+  plain.record.rows = 42;
   const std::string pj = QueryProfileJson(plain);
   EXPECT_NE(pj.find("\"query_id\":11"), std::string::npos);
+  EXPECT_NE(pj.find("\"kind\":\"plan\""), std::string::npos);
   EXPECT_NE(pj.find("\"runs\":1"), std::string::npos);
   EXPECT_NE(pj.find("\"mutations\":0"), std::string::npos);
   EXPECT_NE(pj.find("\"adaptive\":null"), std::string::npos);
   EXPECT_NE(pj.find("\"lineage\":[]"), std::string::npos);
   EXPECT_NE(pj.find("\"profile\":null"), std::string::npos);
 
+  // An adaptive document prints the record's runs and mutations as
+  // recorded, without recounting them from the lineage (the golden test
+  // below pins the rest of the adaptive fields).
+  AdaptiveOutcome oc;
+  oc.total_runs = 1;
+  oc.runs.resize(1);
+  oc.lineage.resize(1);
+  QueryProfileDoc doc;
+  doc.record.kind = "adaptive";
+  doc.record.runs = 7;
+  doc.record.mutations = 5;
+  doc.adaptive = &oc;
+  const std::string aj = QueryProfileJson(doc);
+  EXPECT_NE(aj.find("\"runs\":7,\"mutations\":5,"), std::string::npos);
+  EXPECT_NE(aj.find("\"total_runs\":1,"), std::string::npos);
+  EXPECT_NE(aj.find("\"lineage\":[{\"run\":0,"), std::string::npos);
+}
+
+// A fixed adaptive document, byte for byte: every field's name, order and
+// 15-digit rendering, the lineage's run/decision pairs, split rows, morsels
+// and an escaped label.
+TEST(ProfileJsonTest, GoldenAdaptiveDocumentBytes) {
+  OpProfile op;
+  op.node_id = 4;
+  op.kind = OpKind::kSelect;
+  op.label = "sel(l_shipmode = \"AIR\")\\x";
+  op.work_ns = 1000.125;
+  op.start_ns = 10.5;
+  op.end_ns = 250.0 / 3.0;
+  op.core = 2;
+  op.tuples_in = 100;
+  op.tuples_out = 40;
+  op.peak_bytes = 4096;
+  op.cpu_ns = 777;
+  op.queue_wait_ns = 12;
+  for (int i = 1; i <= 3; ++i) {
+    MorselMetrics m;
+    m.tuples_in = 30 + i;
+    m.tuples_out = 8 * i;
+    m.wall_ns = 10.0 * i / 7.0;
+    m.worker = i % 2;
+    m.domain_begin = static_cast<uint64_t>(32 * (i - 1));
+    m.domain_end = static_cast<uint64_t>(32 * i);
+    op.morsels.push_back(m);
+  }
+  op.ComputeSkewFromMorsels();
+  RunProfile rp;
+  rp.ops = {op};
+  rp.makespan_ns = 1e6 / 3.0;
+  rp.utilization = 0.123456789012345678;
+
   AdaptiveOutcome oc;
   oc.total_runs = 2;
-  oc.serial_time_ns = 100;
-  oc.gme_time_ns = 50;
+  oc.serial_time_ns = 2e6 / 7.0;
+  oc.gme_time_ns = 1e6 / 7.0;
   oc.gme_run = 1;
+  oc.best_run = 1;
+  oc.best_time_ns = 1e6 / 7.0;
+  oc.skew_mutations = 1;
+  oc.runs.resize(2);
+  oc.runs[0].time_ns = 2e6 / 7.0;
+  oc.runs[0].wall_ns = 123456.789;
+  oc.runs[0].max_morsel_skew = 1.75;
+  oc.runs[0].max_morsel_tuple_skew = 4.0 / 3.0;
+  oc.runs[0].skew_hint_ops = 2;
+  oc.runs[1].run = 1;
+  oc.runs[1].time_ns = 1e6 / 7.0;
+  oc.runs[1].wall_ns = 98765.4321;
   AdaptiveLineage l0;
-  l0.run = 0;
   l0.victim = 4;
   l0.action = "basic-skew";
   l0.skew_aware = true;
   l0.split_rows = {64, 192};
-  oc.lineage.push_back(l0);
-  AdaptiveLineage l1;
-  l1.run = 1;
-  oc.lineage.push_back(l1);
+  oc.lineage = {l0, AdaptiveLineage()};
 
   QueryProfileDoc doc;
-  doc.query_id = 12;
-  doc.kind = "adaptive";
+  doc.record.id = 12;
+  doc.record.kind = "adaptive";
+  doc.record.wall_ns = 5e6 / 3.0;
+  doc.record.time_ns = 1e6 / 7.0;
+  doc.record.rows = 42;
+  doc.record.runs = 2;
+  doc.record.mutations = 1;
+  doc.record.peak_bytes = 65536;
+  doc.record.cpu_ns = 3e6 / 7.0;
+  doc.record.queue_wait_ns = 1234.5;
+  doc.record.workers = 4;
+  doc.profile = &rp;
   doc.adaptive = &oc;
-  const std::string aj = QueryProfileJson(doc);
-  EXPECT_NE(aj.find("\"runs\":2"), std::string::npos);
-  EXPECT_NE(aj.find("\"mutations\":1"), std::string::npos);
-  EXPECT_NE(aj.find("\"speedup\":2"), std::string::npos);
-  EXPECT_NE(aj.find("\"action\":\"basic-skew\""), std::string::npos);
-  EXPECT_NE(aj.find("\"skew_aware\":true"), std::string::npos);
-  EXPECT_NE(aj.find("\"split_rows\":[64,192]"), std::string::npos);
-  EXPECT_NE(aj.find("\"action\":\"none\""), std::string::npos);
+  const std::string want =
+      R"j({"query_id":12,"kind":"adaptive","status":"ok","error":"",)j"
+      R"j("wall_ns":1666666.66666667,"time_ns":142857.142857143,"rows":42,)j"
+      R"j("runs":2,"mutations":1,"peak_bytes":65536,)j"
+      R"j("cpu_ns":428571.428571429,"queue_wait_ns":1234.5,"workers":4,)j"
+      R"j("parallel_efficiency":0.0642857142857143,)j"
+      R"j("adaptive":{"serial_time_ns":285714.285714286,)j"
+      R"j("gme_time_ns":142857.142857143,"gme_run":1,"best_run":1,)j"
+      R"j("best_time_ns":142857.142857143,"total_runs":2,"skew_mutations":1,)j"
+      R"j("speedup":2},"lineage":[{"run":0,"time_ns":285714.285714286,)j"
+      R"j("wall_ns":123456.789,"max_morsel_skew":1.75,)j"
+      R"j("max_morsel_tuple_skew":1.33333333333333,"skew_hint_ops":2,)j"
+      R"j("victim":4,"action":"basic-skew","skew_aware":true,)j"
+      R"j("split_rows":[64,192]},{"run":1,"time_ns":142857.142857143,)j"
+      R"j("wall_ns":98765.4321,"max_morsel_skew":0,)j"
+      R"j("max_morsel_tuple_skew":0,"skew_hint_ops":0,"victim":-1,)j"
+      R"j("action":"none","skew_aware":false,"split_rows":[]}],)j"
+      R"j("profile":{"makespan_ns":333333.333333333,)j"
+      R"j("utilization":0.123456789012346,"ops":[{"node_id":4,)j"
+      R"j("kind":"select","label":"sel(l_shipmode = \"AIR\")\\x",)j"
+      R"j("work_ns":1000.125,"start_ns":10.5,"end_ns":83.3333333333333,)j"
+      R"j("wall_ns":72.8333333333333,"core":2,"tuples_in":100,)j"
+      R"j("tuples_out":40,"peak_bytes":4096,"cpu_ns":777,"queue_wait_ns":12,)j"
+      R"j("num_morsels":3,"morsel_skew":1.5,)j"
+      R"j("morsel_tuple_skew":1.72340425531915,)j"
+      R"j("morsel_wall_p50_ns":2.85714285714286,)j"
+      R"j("morsel_wall_p95_ns":4.14285714285714,"morsels":[{"tuples_in":31,)j"
+      R"j("tuples_out":8,"wall_ns":1.42857142857143,"worker":1,)j"
+      R"j("domain_begin":0,"domain_end":32},{"tuples_in":32,"tuples_out":16,)j"
+      R"j("wall_ns":2.85714285714286,"worker":0,"domain_begin":32,)j"
+      R"j("domain_end":64},{"tuples_in":33,"tuples_out":24,)j"
+      R"j("wall_ns":4.28571428571429,"worker":1,"domain_begin":64,)j"
+      R"j("domain_end":96}]}]}})j";
+  EXPECT_EQ(QueryProfileJson(doc), want);
 }
 
 // ---- HTTP exporter: routing -------------------------------------------------
@@ -279,6 +375,10 @@ TEST(HttpExporterTest, RoutingTableServesEveryEndpoint) {
   // Ids are digits only (util/env.h ParseDecimal): a sign is not an id.
   Handle("/debug/profile/+99999", &status, &body);
   EXPECT_EQ(status, 404);
+  // The rejected id is echoed as a JSON string, escaped.
+  Handle("/debug/profile/a\"b\\c", &status, &body);
+  EXPECT_EQ(status, 404);
+  EXPECT_EQ(body, "{\"error\":\"no profile for query id 'a\\\"b\\\\c'\"}");
   Handle("/nope", &status, &body);
   EXPECT_EQ(status, 404);
   EXPECT_NE(body.find("/debug/queries"), std::string::npos);  // endpoint list
@@ -470,6 +570,88 @@ TEST(HttpExporterTest, NoClientStallsAnother) {
 
 // ---- engine integration -----------------------------------------------------
 
+// The text of the first value of `key` in `json`: a number or literal as
+// printed, a string with its quotes; "<no key>" when absent.
+std::string FieldText(const std::string& json, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  size_t pos = json.find(needle);
+  if (pos == std::string::npos) return "<no " + key + ">";
+  pos += needle.size();
+  size_t end = pos;
+  if (json[pos] == '"') {
+    for (++end; end < json.size() && json[end] != '"'; ++end) {
+      if (json[end] == '\\') ++end;
+    }
+    ++end;
+  } else {
+    end = json.find_first_of(",}]", pos);
+  }
+  return json.substr(pos, end - pos);
+}
+
+// The keys of a flat JSON object, in order.
+std::vector<std::string> Keys(const std::string& object) {
+  std::vector<std::string> keys;
+  for (size_t pos = 0; (pos = object.find('"', pos)) != std::string::npos;) {
+    const size_t end = object.find('"', pos + 1);
+    keys.push_back(object.substr(pos + 1, end - pos - 1));
+    const std::string value = FieldText(object.substr(pos), keys.back());
+    pos = end + 2 + value.size();
+  }
+  return keys;
+}
+
+// Every field /debug/queries shows for query `id` prints the same text as
+// the same field of /debug/profile/<id> (whose id field is "query_id").
+void ExpectSummaryMatchesDocument(uint64_t id) {
+  int status = 0;
+  std::string summary, doc;
+  Handle("/debug/queries", &status, &summary);
+  ASSERT_EQ(status, 200);
+  Handle("/debug/profile/" + std::to_string(id), &status, &doc);
+  ASSERT_EQ(status, 200);
+  const size_t begin = summary.find("{\"id\":" + std::to_string(id) + ",");
+  ASSERT_NE(begin, std::string::npos) << summary;
+  const std::string entry =
+      summary.substr(begin, summary.find('}', begin) + 1 - begin);
+  const std::vector<std::string> keys = Keys(entry);
+  EXPECT_EQ(keys.size(), 12u) << entry;
+  for (const std::string& key : keys) {
+    EXPECT_EQ(FieldText(entry, key),
+              FieldText(doc, key == "id" ? "query_id" : key))
+        << key << " of query " << id;
+  }
+}
+
+// The lineage entries of a profile document, in order.
+std::vector<std::string> LineageEntries(const std::string& doc) {
+  const std::string open = "\"lineage\":[";
+  size_t pos = doc.find(open);
+  if (pos == std::string::npos) return {};
+  pos += open.size();
+  size_t end = pos;
+  for (int depth = 1; depth > 0; ++end) {
+    if (doc[end] == '[') ++depth;
+    if (doc[end] == ']') --depth;
+  }
+  const std::string lineage = doc.substr(pos, end - 1 - pos);
+  std::vector<std::string> entries;
+  for (size_t at = lineage.find("{\"run\":"); at != std::string::npos;) {
+    const size_t next = lineage.find("{\"run\":", at + 1);
+    entries.push_back(lineage.substr(at, next - at));
+    at = next;
+  }
+  return entries;
+}
+
+// `v` as the profile document prints it (15 significant digits).
+std::string Printed(double v) {
+  std::ostringstream os;
+  os.precision(15);
+  os << v;
+  return os.str();
+}
+
 class IntrospectEngineTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -530,16 +712,7 @@ TEST_F(IntrospectEngineTest, AdaptiveLineageMatchesOutcomeExactly) {
   ASSERT_EQ(static_cast<int>(o.lineage.size()), o.total_runs);
   EXPECT_GT(o.query_id, 0u);
   int mutated = 0;
-  for (size_t i = 0; i < o.lineage.size(); ++i) {
-    const AdaptiveLineage& l = o.lineage[i];
-    EXPECT_EQ(l.run, static_cast<int>(i));
-    EXPECT_EQ(l.victim, o.runs[i].mutated_node);
-    EXPECT_DOUBLE_EQ(l.time_ns, o.runs[i].time_ns);
-    EXPECT_DOUBLE_EQ(l.wall_ns, o.runs[i].wall_ns);
-    EXPECT_EQ(l.skew_hint_ops, o.runs[i].skew_hint_ops);
-    if (!o.runs[i].mutation.empty()) {
-      EXPECT_EQ(l.action, o.runs[i].mutation);
-    }
+  for (const AdaptiveLineage& l : o.lineage) {
     if (l.action != "none") {
       ++mutated;
       EXPECT_GE(l.victim, 0);
@@ -549,7 +722,8 @@ TEST_F(IntrospectEngineTest, AdaptiveLineageMatchesOutcomeExactly) {
   }
   EXPECT_GT(mutated, 0);  // Q6 at 10k rows always mutates at least once
 
-  // The recorded document agrees with the outcome.
+  // The recorded document agrees with the outcome: lineage entry i is
+  // runs[i]'s measurements followed by lineage[i]'s decision.
   const auto snap = obs::QueryLog::Global().Snapshot();
   ASSERT_FALSE(snap.empty());
   EXPECT_EQ(snap[0].id, o.query_id);
@@ -562,14 +736,36 @@ TEST_F(IntrospectEngineTest, AdaptiveLineageMatchesOutcomeExactly) {
   EXPECT_NE(profile.find("\"kind\":\"adaptive\""), std::string::npos);
   EXPECT_NE(profile.find("\"total_runs\":" + std::to_string(o.total_runs)),
             std::string::npos);
-  // All lineage entries serialized: count "\"run\": occurrences.
-  size_t runs_in_json = 0;
-  for (size_t pos = 0; (pos = profile.find("{\"run\":", pos)) !=
-                       std::string::npos;
-       ++pos) {
-    ++runs_in_json;
+  const std::vector<std::string> entries = LineageEntries(profile);
+  ASSERT_EQ(entries.size(), o.lineage.size());
+  for (size_t i = 0; i < entries.size(); ++i) {
+    const std::string& e = entries[i];
+    EXPECT_EQ(FieldText(e, "run"), std::to_string(o.runs[i].run)) << i;
+    EXPECT_EQ(FieldText(e, "time_ns"), Printed(o.runs[i].time_ns)) << i;
+    EXPECT_EQ(FieldText(e, "wall_ns"), Printed(o.runs[i].wall_ns)) << i;
+    EXPECT_EQ(FieldText(e, "skew_hint_ops"),
+              std::to_string(o.runs[i].skew_hint_ops))
+        << i;
+    EXPECT_EQ(FieldText(e, "victim"), std::to_string(o.lineage[i].victim))
+        << i;
+    EXPECT_EQ(FieldText(e, "action"), "\"" + o.lineage[i].action + "\"")
+        << i;
   }
-  EXPECT_EQ(runs_in_json, o.lineage.size());
+}
+
+// /debug/queries and /debug/profile/<id> print one record: every summary
+// field of a successful plan query and adaptive query equals its document's.
+TEST_F(IntrospectEngineTest, SummaryFieldsEqualTheirDocument) {
+  obs::QueryLog::Global().Clear();
+  Engine engine(SmallConfig());
+  auto q6 = Tpch::Q6(*cat_);
+  ASSERT_TRUE(q6.ok());
+  auto plan = engine.RunSerial(q6.ValueOrDie());
+  ASSERT_TRUE(plan.ok());
+  auto adaptive = engine.RunAdaptive(q6.ValueOrDie());
+  ASSERT_TRUE(adaptive.ok());
+  ExpectSummaryMatchesDocument(plan.ValueOrDie().query_id);
+  ExpectSummaryMatchesDocument(adaptive.ValueOrDie().query_id);
 }
 
 TEST_F(IntrospectEngineTest, ErrorPathBumpsCounterAndRecordsError) {
@@ -583,7 +779,8 @@ TEST_F(IntrospectEngineTest, ErrorPathBumpsCounterAndRecordsError) {
   auto ints = Column::MakeInt64("ints", {1, 2, 3, 4});
   PlanBuilder b("bad");
   int sel = b.Select(ints.get(), Predicate::Like("x"));
-  auto out = engine.RunPlan(b.Result(sel));
+  const QueryPlan bad = b.Result(sel);
+  auto out = engine.RunPlan(bad);
   ASSERT_FALSE(out.ok());
 
   EXPECT_EQ(errors->Value(), before + 1);
@@ -603,6 +800,19 @@ TEST_F(IntrospectEngineTest, ErrorPathBumpsCounterAndRecordsError) {
   ASSERT_TRUE(obs::QueryLog::Global().FindProfile(snap[0].id, &profile));
   EXPECT_NE(profile.find("\"status\":\"error\""), std::string::npos);
   EXPECT_NE(profile.find("\"profile\":null"), std::string::npos);
+  ExpectSummaryMatchesDocument(snap[0].id);
+
+  // The same plan through the adaptive loop fails in its first run; its
+  // summary and its document agree, on runs and mutations too.
+  auto adaptive = engine.RunAdaptive(bad);
+  ASSERT_FALSE(adaptive.ok());
+  EXPECT_EQ(errors->Value(), before + 2);
+  const auto snap2 = obs::QueryLog::Global().Snapshot();
+  ASSERT_EQ(snap2.size(), 2u);
+  EXPECT_EQ(snap2[0].kind, "adaptive");
+  EXPECT_EQ(snap2[0].status, "error");
+  EXPECT_EQ(snap2[0].runs, 0);
+  ExpectSummaryMatchesDocument(snap2[0].id);
 }
 
 // Introspection must never perturb results: the same TPC-H query through

@@ -480,13 +480,19 @@ inline std::string DiffBits(const Intermediate& want, const Intermediate& got) {
 
 /// Recomputes every select, fetch-join, group-by, sort, top-N, aggregate and
 /// aggr-merge node of `er` (a successful Execute of `plan`) from that node's
-/// own inputs in
-/// er.intermediates, and compares its output, tuples_in, tuples_out and
-/// random_accesses bit for bit. Returns "" when all match, else the first
-/// difference. `checked`, when given, receives the number of nodes compared.
+/// own inputs in er.intermediates — er.result for the result node's input —
+/// and compares its output, tuples_in, tuples_out and random_accesses bit
+/// for bit. Returns "" when all match, else the first difference.
+/// `checked`, when given, receives the number of nodes compared.
 inline std::string CheckAgainstReference(const QueryPlan& plan,
                                          const EvalResult& er,
                                          size_t* checked = nullptr) {
+  const int result_input = plan.node(plan.result_id()).inputs[0];
+  auto output_of = [&](int id) -> const Intermediate* {
+    if (id == result_input) return &er.result;
+    auto it = er.intermediates.find(id);
+    return it == er.intermediates.end() ? nullptr : &it->second;
+  };
   size_t n = 0;
   for (const OpMetrics& m : er.metrics) {
     if (!IsReferenced(m.kind)) continue;
@@ -495,16 +501,15 @@ inline std::string CheckAgainstReference(const QueryPlan& plan,
                               OpKindName(node.kind) + "): ";
     std::vector<const Intermediate*> inputs;
     for (int id : node.inputs) {
-      auto it = er.intermediates.find(id);
-      if (it == er.intermediates.end()) return where + "input missing";
-      inputs.push_back(&it->second);
+      inputs.push_back(output_of(id));
+      if (inputs.back() == nullptr) return where + "input missing";
     }
-    auto got = er.intermediates.find(node.id);
-    if (got == er.intermediates.end()) return where + "output missing";
+    const Intermediate* got = output_of(node.id);
+    if (got == nullptr) return where + "output missing";
     RefOut r;
     const Status st = ReferenceNode(node, inputs, &r);
     if (!st.ok()) return where + "reference failed: " + st.ToString();
-    const std::string diff = DiffBits(r.out, got->second);
+    const std::string diff = DiffBits(r.out, *got);
     if (!diff.empty()) return where + diff;
     if (r.tuples_in != m.tuples_in) return where + "tuples_in";
     if (r.tuples_out != m.tuples_out) return where + "tuples_out";

@@ -313,9 +313,6 @@ class SimdEvaluatorTest : public ::testing::Test {
     keys_ = Column::MakeInt64("keys", std::move(keys));
     floats_ = Column::MakeFloat64("floats", std::move(fv));
     strs_ = Column::MakeString("strs", sv);
-    ExecOptions scalar;
-    scalar.simd_level = simd::SimdLevel::kScalar;
-    scalar_.set_options(scalar);
   }
 
   QueryPlan Workload() {
@@ -346,7 +343,7 @@ class SimdEvaluatorTest : public ::testing::Test {
   }
 
   ColumnPtr ints_, keys_, floats_, strs_;
-  Evaluator scalar_;
+  Evaluator scalar_{ExecOptions{kDefaultMorselRows, simd::SimdLevel::kScalar}};
 };
 
 TEST_F(SimdEvaluatorTest, BitIdenticalAcrossTiersMorselsAndWorkers) {
